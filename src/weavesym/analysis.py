@@ -186,9 +186,6 @@ class ColorGroupAnalysis:
     def s2_empty(self) -> bool:
         return all(el.side == "S1" for el in self.elements)
 
-    def side_elements(self, side: str) -> list[GroupElement]:
-        return [el for el in self.elements if el.side == side]
-
     def chi_of(self, iso: GridIsometry) -> str | None:
         """Colour behaviour of an arbitrary isometry, via the computed
         group data."""
@@ -197,19 +194,6 @@ class ColorGroupAnalysis:
             if (el.iso.op.name, el.iso.t) == key:
                 return el.chi
         return None
-
-
-def _pullback_rows(design: Design, op: PointOp) -> list[int]:
-    """Rows of e with e(c) = design(op(c)) on the design block."""
-    g = GridIsometry(op)
-    rows = []
-    for j in range(design.height):
-        bits = 0
-        for i in range(design.width):
-            if design.cell(*g.apply_cell((i, j))):
-                bits |= 1 << i
-        rows.append(bits)
-    return rows
 
 
 def color_group(design: Design) -> ColorGroupAnalysis:
@@ -228,41 +212,53 @@ def _build_group(design: Design, lat: Lattice,
         iso = GridIsometry(IDENTITY, swap_rep)
         elements.append(
             GroupElement(iso, SWAP, side_of(SWAP, 1), locate_element(lat, iso)))
-    w, h = design.width, design.height
-    mask = (1 << w) - 1
     per_op = 1 if swap_rep is None else 2
     for op in POINT_OPS:
         if op is IDENTITY:
             continue
-        # members of the colour group normalise the preserve lattice, so
-        # ops that move it can be skipped outright; for the survivors a
-        # single-block comparison is sound
-        if not all(lat.contains(op.apply(v)) for v in lat.basis):
-            continue
-        egrid = _pullback_rows(design, op)
-        inv = invert_op(op)
-        found = 0
-        for t in lat.coset_reps():
-            sx, sy = inv.apply(t)
-            sx %= w
-            sy %= h
-            first = _rotl(design.rows[0], sx, w, mask) ^ egrid[sy]
-            if first == 0:
-                chi = PRESERVE
-            elif first == mask:
-                chi = SWAP
-            else:
-                continue
-            want = 0 if chi == PRESERVE else mask
-            if any(
-                _rotl(design.rows[j], sx, w, mask) ^ egrid[(j + sy) % h] != want
-                for j in range(1, h)
-            ):
-                continue
+        for t, chi in op_members(design, lat, per_op, op):
             iso = GridIsometry(op, t)
             elements.append(
                 GroupElement(iso, chi, side_of(chi, op.delta), locate_element(lat, iso)))
-            found += 1
-            if found == per_op:
-                break
     return ColorGroupAnalysis(design, lat, swap_rep, tuple(elements))
+
+
+def op_members(design: Design, lat: Lattice, per_op: int,
+               op: PointOp) -> list[tuple[Vec, str]]:
+    """Translation parts and colour actions of the colour-group members
+    with point part `op`, one per coset of `lat`.
+
+    `per_op` is the number of such cosets when `op` is present: 2 when
+    colour-exchanging translations exist, else 1.
+    """
+    # members of the colour group normalise the preserve lattice, so
+    # ops that move it can be skipped outright; for the survivors a
+    # single-block comparison is sound
+    if not all(lat.contains(op.apply(v)) for v in lat.basis):
+        return []
+    w, h, rows = design.width, design.height, design.rows
+    mask = (1 << w) - 1
+    egrid = design.pullback_rows(op, w, h)
+    inv = invert_op(op)
+    found = []
+    for t in lat.coset_reps():
+        sx, sy = inv.apply(t)
+        sx %= w
+        sy %= h
+        first = _rotl(rows[0], sx, w, mask) ^ egrid[sy]
+        if first == 0:
+            chi = PRESERVE
+        elif first == mask:
+            chi = SWAP
+        else:
+            continue
+        want = 0 if chi == PRESERVE else mask
+        if any(
+            _rotl(rows[j], sx, w, mask) ^ egrid[(j + sy) % h] != want
+            for j in range(1, h)
+        ):
+            continue
+        found.append((t, chi))
+        if len(found) == per_op:
+            break
+    return found

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .isometry import GridIsometry, PointOp
+from .isometry import PointOp
 
 BLACK = "#"
 WHITE = "."
@@ -39,15 +39,17 @@ class Design:
                 raise ValueError(f"row {j} has bits outside the block width")
 
     @classmethod
-    def from_strings(cls, lines, black: str = BLACK) -> "Design":
+    def from_strings(cls, lines) -> "Design":
+        """Design from equal-length rows of '#' (black) and '.' (white)."""
+        if not lines:
+            raise ValueError("a design needs at least one row")
+        width = len(lines[0])
         rows = []
-        for line in lines:
-            bits = 0
-            for i, ch in enumerate(line):
-                if ch == black:
-                    bits |= 1 << i
-            rows.append(bits)
-        return cls(len(lines[0]), len(lines), tuple(rows))
+        for j, line in enumerate(lines):
+            if len(line) != width:
+                raise ValueError(f"row {j} has {len(line)} cells, expected {width}")
+            rows.append(_row_bits(line, j))
+        return cls(width, len(lines), tuple(rows))
 
     def to_strings(self) -> list[str]:
         return [
@@ -92,15 +94,38 @@ class Design:
             w, h = self.height, self.width
         else:
             w, h = self.width, self.height
-        g = GridIsometry(op)
-        rows = []
-        for j in range(h):
-            bits = 0
-            for i in range(w):
-                if self.cell(*g.apply_cell((i, j))):
-                    bits |= 1 << i
-            rows.append(bits)
-        return Design(w, h, tuple(rows))
+        return Design(w, h, self.pullback_rows(op, w, h))
+
+    def pullback_rows(self, op: PointOp, width: int, height: int) -> tuple[int, ...]:
+        """Rows of e with e(c) = self(op(c)) on a width-by-height block,
+        reading the design periodically.
+
+        Every point op is a row-level operation: x -> -x reverses the
+        bits of each row, y -> -y reverses the row order, and the four
+        ops that exchange the axes first transpose the block.
+        """
+        (a, b), (c, d) = op.matrix
+        w, h, rows = self.width, self.height, self.rows
+        if b:
+            # column i of the block, read bottom row first, is the
+            # binary string of transposed row i
+            strs = [format(r, f"0{w}b") for r in reversed(rows)]
+            rows = [int("".join(col), 2) for col in zip(*strs)][::-1]
+            w, h = h, w
+            flip_x, flip_y = c < 0, b < 0
+        else:
+            flip_x, flip_y = a < 0, d < 0
+        if flip_x:
+            rows = [int(format(r, f"0{w}b")[::-1], 2) for r in rows]
+        if flip_y:
+            rows = rows[::-1]
+        if width != w:
+            # repeat each w-bit row across the output width, then crop
+            n = -(-width // w)
+            repunit = ((1 << (w * n)) - 1) // ((1 << w) - 1)
+            mask = (1 << width) - 1
+            rows = [(r * repunit) & mask for r in rows]
+        return tuple(rows[j % h] for j in range(height))
 
     def translated(self, dx: int, dy: int) -> "Design":
         """The design shifted so old cell (i, j) lands on (i+dx, j+dy)."""
@@ -115,6 +140,17 @@ class Design:
 
     def __str__(self) -> str:
         return "\n".join(self.to_strings())
+
+
+def _row_bits(line: str, j: int) -> int:
+    """Row integer of a '#'/'.' string, bit i holding cell i."""
+    bits = 0
+    for i, ch in enumerate(line):
+        if ch == BLACK:
+            bits |= 1 << i
+        elif ch != WHITE:
+            raise ValueError(f"invalid cell {ch!r} in row {j}")
+    return bits
 
 
 def parse_design(text: str) -> Design:
@@ -148,13 +184,10 @@ def parse_design(text: str) -> Design:
         if len(line) != width:
             raise DesignFormatError(
                 f"line {lineno}: row {j} has {len(line)} cells, expected {width}")
-        bits = 0
-        for i, ch in enumerate(line):
-            if ch == BLACK:
-                bits |= 1 << i
-            elif ch != WHITE:
-                raise DesignFormatError(f"line {lineno}: invalid cell {ch!r} in row {j}")
-        rows.append(bits)
+        try:
+            rows.append(_row_bits(line, j))
+        except ValueError as exc:
+            raise DesignFormatError(f"line {lineno}: {exc}") from None
     return Design(width, height, tuple(rows))
 
 

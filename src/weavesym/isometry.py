@@ -102,11 +102,6 @@ class GridIsometry:
         y += 2 * self.t[1]
         return ((x - 1) // 2, (y - 1) // 2)
 
-    def apply_point2(self, p2: Vec) -> Vec:
-        """Image of a point given in doubled (half-unit) coordinates."""
-        x, y = self.op.apply(p2)
-        return (x + 2 * self.t[0], y + 2 * self.t[1])
-
 
 def compose(f: GridIsometry, g: GridIsometry) -> GridIsometry:
     """f after g."""

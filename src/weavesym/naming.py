@@ -122,9 +122,9 @@ POINT_ORDER = {
     "p4mm": 8, "p4gm": 8,
 }
 
-_HAS_ROT2 = {"p211", "p2mm", "p2mg", "p2gg", "c2mm", "p4", "p4mm", "p4gm"}
-_HAS_ROT4 = {"p4", "p4mm", "p4gm"}
-_HAS_REFL = {"p1m1", "p1g1", "c1m1", "p2mm", "p2mg", "p2gg", "c2mm", "p4mm", "p4gm"}
+HAS_ROT2 = {"p211", "p2mm", "p2mg", "p2gg", "c2mm", "p4", "p4mm", "p4gm"}
+HAS_ROT4 = {"p4", "p4mm", "p4gm"}
+HAS_REFL = {"p1m1", "p1g1", "c1m1", "p2mm", "p2mg", "p2gg", "c2mm", "p4mm", "p4gm"}
 
 _PLANE_ALIASES = {
     "p2": "p211", "pm": "p1m1", "pg": "p1g1", "cm": "c1m1",
@@ -147,9 +147,9 @@ def validate_pair(s: str, s1: str) -> None:
     order_s, order_s1 = POINT_ORDER[s], POINT_ORDER[s1]
     ok = (
         order_s in (order_s1, 2 * order_s1)
-        and (s1 not in _HAS_ROT2 or s in _HAS_ROT2)
-        and (s1 not in _HAS_ROT4 or s in _HAS_ROT4)
-        and (s1 not in _HAS_REFL or s in _HAS_REFL)
+        and (s1 not in HAS_ROT2 or s in HAS_ROT2)
+        and (s1 not in HAS_ROT4 or s in HAS_ROT4)
+        and (s1 not in HAS_REFL or s in HAS_REFL)
     )
     # when the point order halves, both groups share one lattice, so a
     # centred group only admits centred-lattice subgroups and vice versa

@@ -2,20 +2,36 @@
 
 Candidates are enumerated by growing block area, keeping only designs
 whose exact rectangular periods equal the block (smaller patterns were
-already seen on their own block) and, per translation class, only a
-representative whose first row dominates every row rotation.  Matches
-are deduplicated up to grid point operations and translations.
+already seen on their own block) and, per translation class, only
+designs whose first row is at or above every rotation of every row.
+Each candidate is tested against the target one point op at a time
+and dropped at the first contradiction; only the survivors are fully
+classified.  Matches are deduplicated up to grid point operations and
+translations.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from .analysis import _build_group, translation_lattices
+from .analysis import _build_group, _rotl, op_members, side_of, translation_lattices
 from .classify import Classification, classify_analysis
 from .design import Design
-from .isometry import POINT_OPS
+from .isometry import (
+    MIRROR_ANTI,
+    MIRROR_DIAG,
+    MIRROR_X,
+    MIRROR_Y,
+    POINT_OPS,
+    R90,
+    R180,
+    R270,
+)
 from .naming import (
+    HAS_REFL,
+    HAS_ROT2,
+    HAS_ROT4,
     POINT_ORDER,
     normalize_layer_name,
     normalize_plane_name,
@@ -27,6 +43,9 @@ from .naming import (
 # Exhausting all designs of a given area is exponential, so the sweep is
 # capped; every tabulated pair is realised well inside this bound.
 DEFAULT_MAX_CELLS = 16
+# Hard ceiling on the cap: the sweep up to 20 cells already enumerates
+# about 1.9 million candidates, and each further cell doubles that.
+MAX_CELLS = 20
 
 
 @dataclass(frozen=True)
@@ -55,24 +74,8 @@ def parse_layer_target(text: str) -> SearchTarget:
     return SearchTarget(s, s1, layer)
 
 
-def _rotl(row: int, s: int, w: int, mask: int) -> int:
-    s %= w
-    if s == 0:
-        return row
-    return ((row << s) | (row >> (w - s))) & mask
-
-
-def _dominant_first_row(rows, w: int, mask: int) -> bool:
-    """True when rows[0] is >= every rotation of every row, so that each
-    translation class keeps at least one survivor."""
-    r0 = rows[0]
-    for j, r in enumerate(rows):
-        for s in range(w):
-            if s == 0 and j == 0:
-                continue
-            if _rotl(r, s, w, mask) > r0:
-                return False
-    return True
+def _max_rotation(row: int, w: int, mask: int) -> int:
+    return max(_rotl(row, s, w, mask) for s in range(w))
 
 
 def _proper_period(rows, w: int, h: int, mask: int) -> bool:
@@ -108,19 +111,33 @@ def iter_blocks(max_w: int, max_h: int, max_cells: int):
         yield w, h
 
 
+def _upper_rows(w: int, n: int, mask: int):
+    """Every choice of rows 1..n in increasing order (row n most
+    significant), each with the largest rotation among its rows."""
+    if n == 0:
+        yield (), 0
+        return
+    for rest, top in _upper_rows(w, n - 1, mask):
+        for r in range(1 << w):
+            yield (r, *rest), max(top, _max_rotation(r, w, mask))
+
+
 def iter_candidates(w: int, h: int):
     """All designs on an exact w-by-h block, one per translation class
-    at least."""
+    at least, in increasing order of the block read as one integer
+    (row h-1 most significant).
+
+    Rows 1..h-1 run through every value; the first row then takes only
+    the rotation-maximal values at or above every rotation of the other
+    rows, so each translation class keeps at least one survivor.
+    """
     mask = (1 << w) - 1
-    for bits in range(1 << (w * h)):
-        rows = tuple((bits >> (w * j)) & mask for j in range(h))
-        if rows[0] == 0 and bits:
-            continue
-        if not _dominant_first_row(rows, w, mask):
-            continue
-        if _proper_period(rows, w, h, mask):
-            continue
-        yield Design(w, h, rows)
+    firsts = [r for r in range(1 << w) if r == _max_rotation(r, w, mask)]
+    for upper, top in _upper_rows(w, h - 1, mask):
+        for r0 in firsts[bisect_left(firsts, top):]:
+            rows = (r0, *upper)
+            if not _proper_period(rows, w, h, mask):
+                yield Design(w, h, rows)
 
 
 def canonical_key(design: Design):
@@ -149,19 +166,75 @@ def matches(cls: Classification, target: SearchTarget) -> bool:
     return target.layer is None or cls.layer_symbol == target.layer
 
 
+# Point ops in the order the prefilter tests them: the half-turn and the
+# mirrors decide most targets, the quarter-turns only the fourfold ones.
+_PREFILTER_OPS = (R180, MIRROR_X, MIRROR_Y, MIRROR_DIAG, MIRROR_ANTI, R90, R270)
+
+
+def prefilter(target: SearchTarget):
+    """Predicate on (design, lattice, swap_rep) that is False only when
+    the design's colour group cannot give the target pair.
+
+    Point ops are tested one at a time, and the predicate stops at the
+    first that contradicts a necessary condition: the half-turn and the
+    quarter-turn present exactly when S has them, the half-turn on the
+    S1 side exactly when S1 has it, a mirror present exactly when S has
+    reflections, no more ops in S or S1 than their point orders allow,
+    and no S2 member when the target wants S2 empty.
+    """
+    s = target.s
+    s1 = s if target.s1 == "-" else target.s1
+    rot2, rot2_s1, rot4 = s in HAS_ROT2, s1 in HAS_ROT2, s in HAS_ROT4
+    refl = s in HAS_REFL
+    order, order_s1 = POINT_ORDER[s], POINT_ORDER[s1]
+    s2_empty = target.s1 == "-"
+
+    def admits(design: Design, lat, swap_rep) -> bool:
+        per_op = 1 if swap_rep is None else 2
+        n_ops = n_s1_ops = 1   # the identity
+        mirrors = 0
+        for op in _PREFILTER_OPS:
+            sides = [side_of(chi, op.delta)
+                     for _, chi in op_members(design, lat, per_op, op)]
+            in_s, in_s1 = bool(sides), "S1" in sides
+            n_ops += in_s
+            n_s1_ops += in_s1
+            if n_ops > order or n_s1_ops > order_s1 or (s2_empty and "S2" in sides):
+                return False
+            if op is R180 and (in_s != rot2 or in_s1 != rot2_s1):
+                return False
+            if op is R90 and in_s != rot4:
+                return False
+            if not op.is_rotation:
+                if in_s and not refl:
+                    return False
+                mirrors += in_s
+                if op is MIRROR_ANTI and refl and not mirrors:
+                    return False
+        return True
+
+    return admits
+
+
 def search(target: SearchTarget, max_block=(12, 12), limit: int | None = 1,
            max_cells: int = DEFAULT_MAX_CELLS):
     """Designs matching the target, in (area, width, rows) order.
 
     Returns a list of (design, classification) pairs.  With limit=None
-    the whole capped space is swept.
+    the whole capped space is swept.  Raises ValueError for a limit
+    below 1 or a cell cap outside 1..MAX_CELLS.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
+    if not 1 <= max_cells <= MAX_CELLS:
+        raise ValueError(f"max_cells must be between 1 and {MAX_CELLS}, got {max_cells}")
     order_s = POINT_ORDER[target.s]
     if target.s1 == "-":
         swap_required, swap_forbidden = False, True
     else:
         swap_required = order_s == POINT_ORDER[target.s1]
         swap_forbidden = not swap_required
+    admits = prefilter(target)
     results = []
     seen = set()
     for w, h in iter_blocks(max_block[0], max_block[1], max_cells):
@@ -170,6 +243,8 @@ def search(target: SearchTarget, max_block=(12, 12), limit: int | None = 1,
             if swap_required and swap_rep is None:
                 continue
             if swap_forbidden and swap_rep is not None:
+                continue
+            if not admits(design, lat, swap_rep):
                 continue
             cls = classify_analysis(_build_group(design, lat, swap_rep))
             if not matches(cls, target):

@@ -27,6 +27,19 @@ def cell_image(mat, t, i, j):
     return min(xs), min(ys)
 
 
+def naive_pullback(grid, w, h, mat, width, height):
+    """Grid e with e(c) = design(mat * c) on a width-by-height block,
+    reading the w-by-h design grid periodically."""
+    out = []
+    for j in range(height):
+        row = []
+        for i in range(width):
+            ii, jj = cell_image(mat, (0, 0), i, j)
+            row.append(grid[jj % h][ii % w])
+        out.append(row)
+    return out
+
+
 def grid_of(design):
     return [[design.cell(i, j) for i in range(design.width)]
             for j in range(design.height)]

@@ -110,6 +110,16 @@ def test_search_no_result(capsys):
     assert "no design found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--limit", "0"), ("--limit", "-1"), ("--max-cells", "0"), ("--max-cells", "40"),
+])
+def test_search_rejects_out_of_range_bounds(flag, value, capsys):
+    assert main(["search", "--pair", "p1,-", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 def test_catalog_verify(capsys):
     assert main(["catalog", "verify"]) == 0
     out = capsys.readouterr().out

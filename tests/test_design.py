@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from naive_oracle import NAIVE_OPS, grid_of, naive_pullback
 
 from weavesym.design import (
     Design,
@@ -19,6 +20,21 @@ def test_from_strings_bit_order():
     d = Design.from_strings(["#..", ".#."])
     assert d.width == 3 and d.height == 2
     assert d.rows == (1, 2)
+
+
+def test_from_strings_rejects_empty():
+    with pytest.raises(ValueError, match="at least one row"):
+        Design.from_strings([])
+
+
+def test_from_strings_rejects_ragged_rows():
+    with pytest.raises(ValueError, match="row 1 has 1 cells, expected 2"):
+        Design.from_strings(["#.", "#"])
+
+
+def test_from_strings_rejects_other_characters():
+    with pytest.raises(ValueError, match="invalid cell 'x' in row 0"):
+        Design.from_strings(["#x"])
 
 
 def test_to_strings_roundtrip():
@@ -65,6 +81,23 @@ def test_transformed_is_pullback():
             for j in range(e.height):
                 for i in range(e.width):
                     assert e.cell(i, j) == d.cell(*g.apply_cell((i, j)))
+
+
+def test_pullback_rows_matches_cell_image():
+    # square and non-square blocks, on the design's own block, on the
+    # transposed block and on a larger one, so that axis-swapping ops on
+    # w != h read the design periodically
+    rng = random.Random(11)
+    for w in range(1, 7):
+        for h in range(1, 7):
+            d = Design(w, h, tuple(rng.randrange(1 << w) for _ in range(h)))
+            grid = grid_of(d)
+            for op in POINT_OPS:
+                for width, height in ((w, h), (h, w), (w + 3, 2 * h + 1)):
+                    rows = d.pullback_rows(op, width, height)
+                    got = [[(r >> i) & 1 for i in range(width)] for r in rows]
+                    want = naive_pullback(grid, w, h, NAIVE_OPS[op.name], width, height)
+                    assert got == want, (d, op.name, width, height)
 
 
 def test_transformed_transposes_block():

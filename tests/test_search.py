@@ -1,15 +1,20 @@
 import pytest
 
-from weavesym.classify import classify
+from weavesym.analysis import _build_group, translation_lattices
+from weavesym.classify import classify, classify_analysis
 from weavesym.design import Design
 from weavesym.isometry import MIRROR_DIAG, R90
+from weavesym.naming import PLANE_GROUPS, pair_table, validate_pair
 from weavesym.search import (
+    MAX_CELLS,
     SearchTarget,
     canonical_key,
     iter_blocks,
     iter_candidates,
+    matches,
     parse_layer_target,
     parse_pair_target,
+    prefilter,
     search,
 )
 
@@ -56,6 +61,36 @@ def test_iter_candidates_skips_translated_copies():
                if sum(r.bit_count() for r in rows) == 1) == 1
 
 
+def _generate_then_filter(w, h):
+    """Reference enumeration: every bitmask of the block in increasing
+    order, keeping designs whose first row is nonzero (unless all rows
+    are), at or above every rotation of every row, and with no smaller
+    period than the block."""
+    mask = (1 << w) - 1
+
+    def rot(r, s):
+        return ((r << s) | (r >> (w - s))) & mask
+
+    for bits in range(1 << (w * h)):
+        rows = tuple((bits >> (w * j)) & mask for j in range(h))
+        if rows[0] == 0 and bits:
+            continue
+        if any(rot(r, s) > rows[0] for r in rows for s in range(w)):
+            continue
+        if any(all(rot(r, p) == r for r in rows) for p in range(1, w) if w % p == 0):
+            continue
+        if any(all(rows[j] == rows[(j + q) % h] for j in range(h))
+               for q in range(1, h) if h % q == 0):
+            continue
+        yield rows
+
+
+def test_iter_candidates_matches_generate_then_filter():
+    for w, h in iter_blocks(12, 12, 12):
+        got = [d.rows for d in iter_candidates(w, h)]
+        assert got == list(_generate_then_filter(w, h)), (w, h)
+
+
 def test_canonical_key_identifies_copies():
     d = Design.from_strings(["##..", ".##.", "..##", "#..#"])
     assert canonical_key(d) == canonical_key(d.translated(2, 1))
@@ -98,3 +133,43 @@ def test_search_layer_target():
 
 def test_search_describe():
     assert SearchTarget("p2mg", "p2gg").describe() == "(p2mg, p2gg)"
+
+
+def _all_targets():
+    targets = []
+    for s in PLANE_GROUPS:
+        for s1 in (*PLANE_GROUPS, "-"):
+            try:
+                validate_pair(s, s1)
+            except ValueError:
+                continue
+            targets.append(SearchTarget(s, s1, pair_table().get((s, s1))))
+    return targets
+
+
+def test_prefilter_never_rejects_a_match():
+    targets = _all_targets()
+    assert len(targets) == 70
+    admits = [prefilter(t) for t in targets]
+    designs = rejected = 0
+    for w, h in iter_blocks(10, 10, 10):
+        for design in iter_candidates(w, h):
+            designs += 1
+            lat, swap_rep = translation_lattices(design)
+            cls = classify_analysis(_build_group(design, lat, swap_rep))
+            for target, admit in zip(targets, admits):
+                if admit(design, lat, swap_rep):
+                    continue
+                rejected += 1
+                assert not matches(cls, target), (design, target.describe())
+    assert designs == 1947
+    # the prefilter does prune: most (design, target) pairs are rejected
+    assert rejected > designs * len(targets) // 2
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"limit": 0}, {"limit": -1}, {"max_cells": 0}, {"max_cells": MAX_CELLS + 1},
+])
+def test_search_rejects_out_of_range_bounds(kwargs):
+    with pytest.raises(ValueError):
+        search(parse_pair_target("p1,-"), **kwargs)
