@@ -12,7 +12,6 @@ the plane.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
 
 from .design import Design
 from .isometry import (
@@ -58,47 +57,51 @@ def _translation_action(design: Design, a: int, b: int) -> str | None:
     return kind
 
 
+def _first_acting(design: Design, vectors) -> tuple[Vec, str] | None:
+    for v in vectors:
+        act = _translation_action(design, *v)
+        if act is not None:
+            return v, act
+    return None
+
+
 def translation_lattices(design: Design) -> tuple[Lattice, Vec | None]:
     """Lattice of colour-preserving translations and, if the design has
     colour-exchanging translations, a canonical representative of their
-    coset."""
-    preserve = [(design.width, 0), (0, design.height)]
-    swap = None
-    for b in range(design.height):
-        for a in range(design.width):
-            if a == 0 and b == 0:
-                continue
-            act = _translation_action(design, a, b)
-            if act == PRESERVE:
-                preserve.append((a, b))
-            elif act == SWAP and swap is None:
-                swap = (a, b)
-    lat = Lattice.from_vectors(preserve)
-    return lat, (lat.reduce(swap) if swap is not None else None)
+    coset.
 
-
-def color_action(design: Design, iso: GridIsometry) -> str | None:
-    """Colour behaviour of one isometry, or None.
-
-    Point operations that exchange the axes are checked over an
-    lcm-sized region so that periodicity of the comparison grid is
-    guaranteed for any block shape.
+    The translations with either colour action form a lattice T with
+    Hermite basis e1 = (a, 0), e2 = (b, c).  T contains the block
+    translations, so a divides w and c divides h: a is the least
+    divisor of w that acts, and c the least divisor of h for which some
+    (b, c) with b < a acts.  The preserve lattice is the kernel of the
+    colour action on T.
     """
-    w, h = design.width, design.height
-    if iso.op.delta == 1 or w == h:
-        rx, ry = w, h
-    else:
-        rx = ry = lcm(w, h)
-    same = diff = True
-    for j in range(ry):
-        for i in range(rx):
-            if design.cell(*iso.apply_cell((i, j))) == design.cell(i, j):
-                diff = False
-            else:
-                same = False
-            if not (same or diff):
-                return None
-    return PRESERVE if same else SWAP
+    w, h, rows = design.width, design.height, design.rows
+    mask = (1 << w) - 1
+    e1, chi1 = _first_acting(
+        design, ((d, 0) for d in range(1, w) if w % d == 0)) or ((w, 0), PRESERVE)
+    # a member (x, c) of T maps row 0 onto row c or its complement, and
+    # only x < a can be the Hermite b
+    shifts: dict[int, list[int]] = {}
+    for x in range(e1[0]):
+        shifts.setdefault(_rotl(rows[0], x, w, mask), []).append(x)
+    e2, chi2 = _first_acting(design, (
+        (x, c)
+        for c in range(1, h) if h % c == 0
+        for row in (rows[c], rows[c] ^ mask)
+        for x in shifts.get(row, ())
+    )) or ((0, h), PRESERVE)
+    # the kernel: preserving basis vectors, doubled swapping ones, and
+    # e1 + e2 when both swap
+    basis = ((e1, chi1), (e2, chi2))
+    swapping = [v for v, chi in basis if chi == SWAP]
+    kernel = [v for v, chi in basis if chi == PRESERVE]
+    kernel += [(2 * x, 2 * y) for x, y in swapping]
+    if len(swapping) == 2:
+        kernel.append((e1[0] + e2[0], e1[1] + e2[1]))
+    lat = Lattice.from_vectors(kernel)
+    return lat, (lat.reduce(swapping[0]) if swapping else None)
 
 
 def parallel_coeff(op: PointOp, t: Vec) -> int:

@@ -27,6 +27,19 @@ def has_glide(plane_symbol: str) -> bool:
     return "g" in plane_symbol or plane_symbol.startswith("c")
 
 
+ENTRY_KEYS = ("id", "name", "itemType", "design", "expectedPair",
+              "expectedLayer", "hasGlide", "synthetic")
+DESIGN_KEYS = ("width", "height", "rows")
+
+
+def _require(obj, keys, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{where}: missing key {key!r}")
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     id: str
@@ -39,11 +52,18 @@ class CatalogEntry:
     synthetic: bool
 
     @classmethod
-    def from_json(cls, obj: dict) -> "CatalogEntry":
+    def from_json(cls, obj: dict, index: int = 0) -> "CatalogEntry":
+        """Entry from its manifest object.  A malformed object raises
+        ValueError naming the entry by its id, or by its `index` in the
+        manifest when it has none."""
+        label = obj.get("id") if isinstance(obj, dict) else None
+        where = f"entry {label}" if label is not None else f"entry #{index}"
+        _require(obj, ENTRY_KEYS, where)
         d = obj["design"]
+        _require(d, DESIGN_KEYS, f"{where} design")
         design = Design.from_strings(d["rows"])
         if design.width != d["width"] or design.height != d["height"]:
-            raise ValueError(f"entry {obj['id']}: design size mismatch")
+            raise ValueError(f"{where}: design size mismatch")
         return cls(
             id=obj["id"],
             name=obj["name"],
@@ -64,9 +84,13 @@ def load_manifest(path=None) -> list[CatalogEntry]:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("manifest: expected a JSON object")
     if obj.get("version") != 1:
         raise ValueError("unsupported manifest version")
-    entries = [CatalogEntry.from_json(e) for e in obj["entries"]]
+    if not isinstance(obj.get("entries"), list):
+        raise ValueError("manifest: missing key 'entries' (a list)")
+    entries = [CatalogEntry.from_json(e, i) for i, e in enumerate(obj["entries"])]
     ids = [e.id for e in entries]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate entry ids in manifest")

@@ -20,8 +20,8 @@ class Lattice:
     def from_vectors(cls, vectors) -> "Lattice":
         """Hermite form of the lattice generated by `vectors`.
 
-        The generators must span a full-rank lattice; design scans
-        always include the block translations, which guarantees that.
+        Callers pass a set of generators that spans a full-rank
+        lattice; a set that does not raises ValueError.
         """
         a = 0
         b = c = 0

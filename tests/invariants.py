@@ -1,9 +1,8 @@
 """Invariant checkers shared by the property suite and the acceptance
 battery.  Each function raises AssertionError with context on failure."""
 
-from naive_oracle import naive_chi_table
+from naive_oracle import NAIVE_OPS, grid_of, naive_chi_table, naive_color_action
 
-from weavesym.analysis import color_action
 from weavesym.classify import classify
 from weavesym.isometry import POINT_OPS, GridIsometry, compose, invert, op_by_name
 
@@ -82,7 +81,9 @@ def check_conjugation_covariance(design, cls, rng, samples=4):
     isos = [el.iso for el in cls.elements]
     chis = {el.iso: el.chi for el in cls.elements}
     for op in POINT_OPS:
-        other = classify(design.transformed(op))
+        moved = design.transformed(op)
+        grid = grid_of(moved)
+        other = classify(moved)
         assert other.pair_descriptor == cls.pair_descriptor, op.name
         assert other.layer_symbol == cls.layer_symbol, op.name
         assert other.provisional == cls.provisional, op.name
@@ -90,7 +91,9 @@ def check_conjugation_covariance(design, cls, rng, samples=4):
         a_inv = invert(a)
         for g in rng.sample(isos, min(samples, len(isos))):
             h = compose(a_inv, compose(g, a))
-            assert color_action(design.transformed(op), h) == chis[g], (op.name, g)
+            got = naive_color_action(
+                grid, moved.width, moved.height, NAIVE_OPS[h.op.name], h.t)
+            assert got == chis[g], (op.name, g)
 
 
 def check_lift_count(cls):

@@ -1,7 +1,13 @@
+import random
+
 import pytest
 
+from weavesym import analysis
 from weavesym.analysis import (
-    color_action,
+    PRESERVE,
+    SWAP,
+    _rotl,
+    _translation_action,
     color_group,
     parallel_coeff,
     translation_lattices,
@@ -76,17 +82,105 @@ def test_reference_group_sides():
 
 def test_color_action_direct():
     # the twill's quarter turns are not colour symmetries
+    analysis = color_group(TWILL)
     for t in [(x, y) for x in range(4) for y in range(4)]:
-        assert color_action(TWILL, GridIsometry(R90, t)) is None
-    assert color_action(TWILL, GridIsometry(R180, (1, 0))) == "preserve"
-    assert color_action(TWILL, GridIsometry(R180, (3, 0))) == "swap"
-    assert color_action(TWILL, GridIsometry(MIRROR_ANTI, (0, 0))) == "preserve"
+        assert analysis.chi_of(GridIsometry(R90, t)) is None
+    assert analysis.chi_of(GridIsometry(R180, (1, 0))) == "preserve"
+    assert analysis.chi_of(GridIsometry(R180, (3, 0))) == "swap"
+    assert analysis.chi_of(GridIsometry(MIRROR_ANTI, (0, 0))) == "preserve"
 
 
 def test_color_action_translations():
-    assert color_action(TWILL, GridIsometry(op_by_name("identity"), (1, 1))) == "preserve"
-    assert color_action(TWILL, GridIsometry(op_by_name("identity"), (2, 0))) == "swap"
-    assert color_action(TWILL, GridIsometry(op_by_name("identity"), (1, 0))) is None
+    analysis = color_group(TWILL)
+    identity = op_by_name("identity")
+    assert analysis.chi_of(GridIsometry(identity, (1, 1))) == "preserve"
+    assert analysis.chi_of(GridIsometry(identity, (2, 0))) == "swap"
+    assert analysis.chi_of(GridIsometry(identity, (1, 0))) is None
+
+
+def scan_lattices(design):
+    """Reference: test every translation of the block."""
+    preserve = [(design.width, 0), (0, design.height)]
+    swap = None
+    for b in range(design.height):
+        for a in range(design.width):
+            if a == 0 and b == 0:
+                continue
+            act = _translation_action(design, a, b)
+            if act == PRESERVE:
+                preserve.append((a, b))
+            elif act == SWAP and swap is None:
+                swap = (a, b)
+    lat = Lattice.from_vectors(preserve)
+    return lat, (lat.reduce(swap) if swap is not None else None)
+
+
+def basis_actions(design, lat, swap):
+    """Colour actions of the Hermite basis of the full translation
+    lattice."""
+    full = lat if swap is None else lat.extended(swap)
+    return (_translation_action(design, full.a, 0),
+            _translation_action(design, full.b, full.c))
+
+
+def test_lattices_match_scan_on_small_blocks():
+    seen = set()
+    for w in range(1, 11):
+        for h in range(1, 10 // w + 1):
+            for bits in range(1 << (w * h)):
+                rows = tuple((bits >> (j * w)) & ((1 << w) - 1) for j in range(h))
+                design = Design(w, h, rows)
+                want = scan_lattices(design)
+                assert translation_lattices(design) == want, (w, h, rows)
+                seen.add(basis_actions(design, *want))
+    assert basis_actions(CHECKER, *scan_lattices(CHECKER)) == (SWAP, SWAP)
+    assert seen == {(a, b) for a in (PRESERVE, SWAP) for b in (PRESERVE, SWAP)}
+
+
+def periodic_motifs(rng, count):
+    """Seeded motifs, some with complement-shift halves, tiled up to 6x6
+    and sheared by a shift that grows with the motif row band."""
+    for _ in range(count):
+        mw, mh = rng.randint(1, 3), rng.randint(1, 3)
+        rows = [rng.getrandbits(mw) for _ in range(mh)]
+        if rng.random() < 0.5:
+            mask = (1 << mw) - 1
+            rows = [r | ((r ^ mask) << mw) for r in rows]
+            mw *= 2
+        if rng.random() < 0.5:
+            mask = (1 << mw) - 1
+            rows += [r ^ mask for r in rows]
+            mh *= 2
+        tiled = Design(mw, mh, tuple(rows)).tiled(rng.randint(1, 6), rng.randint(1, 6))
+        w = tiled.width
+        shear = rng.randrange(w)
+        yield Design(w, tiled.height, tuple(
+            _rotl(r, shear * (j // mh), w, (1 << w) - 1)
+            for j, r in enumerate(tiled.rows)))
+
+
+def test_lattices_match_scan_on_tiled_motifs():
+    seen = set()
+    for design in periodic_motifs(random.Random(20261018), 400):
+        want = scan_lattices(design)
+        assert translation_lattices(design) == want, (design.width, design.rows)
+        seen.add(basis_actions(design, *want))
+    assert {(PRESERVE, SWAP), (SWAP, PRESERVE), (SWAP, SWAP)} <= seen
+
+
+def test_lattice_cost_is_a_few_actions(monkeypatch):
+    calls = 0
+    real = analysis._translation_action
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(analysis, "_translation_action", counted)
+    lat, swap = translation_lattices(TWILL.tiled(32, 32))
+    assert (lat, swap) == (Lattice(4, 1, 1), (2, 0))
+    assert calls <= 16
 
 
 def test_checkerboard_has_quarter_turns():

@@ -121,3 +121,28 @@ def test_entry_size_mismatch():
             "expectedPair": "(p1, -)", "expectedLayer": "p1",
             "hasGlide": False, "synthetic": True,
         })
+
+
+@pytest.mark.parametrize("entry,message", [
+    ({"id": "bad", "name": "bad"}, "entry bad: missing key 'itemType'"),
+    ({"name": "no id"}, "entry #3: missing key 'id'"),
+    ("not an object", "entry #3: expected a JSON object"),
+    ({"id": "bad", "name": "bad", "itemType": "basket", "design": {"rows": ["#"]},
+      "expectedPair": "(p1, -)", "expectedLayer": "p1",
+      "hasGlide": False, "synthetic": True},
+     "entry bad design: missing key 'width'"),
+], ids=["no-item-type", "no-id", "not-an-object", "no-width"])
+def test_entry_missing_keys(entry, message):
+    with pytest.raises(ValueError, match=message):
+        CatalogEntry.from_json(entry, 3)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[]", "expected a JSON object"),
+    ('{"version": 1}', "missing key 'entries'"),
+], ids=["top-level-list", "no-entries"])
+def test_manifest_rejects_bad_shape(tmp_path, text, message):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_manifest(path)

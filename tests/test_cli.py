@@ -133,21 +133,56 @@ def test_catalog_stats(capsys):
     assert "glide: 32/44" in out
 
 
-def test_catalog_external_manifest(tmp_path, capsys):
-    manifest = {
-        "version": 1,
-        "entries": [{
-            "id": "x-01", "name": "twill", "itemType": "basket",
-            "design": {"width": 4, "height": 4,
-                       "rows": ["##..", ".##.", "..##", "#..#"]},
-            "expectedPair": "(p2mg, p2gg)", "expectedLayer": "pbab",
-            "hasGlide": True, "synthetic": True,
-        }],
-    }
+TWILL_ENTRY = {
+    "id": "x-01", "name": "twill", "itemType": "basket",
+    "design": {"width": 4, "height": 4,
+               "rows": ["##..", ".##.", "..##", "#..#"]},
+    "expectedPair": "(p2mg, p2gg)", "expectedLayer": "pbab",
+    "hasGlide": True, "synthetic": True,
+}
+
+
+def verify_manifest(tmp_path, text):
     path = tmp_path / "m.json"
-    path.write_text(json.dumps(manifest))
-    assert main(["catalog", "verify", "--manifest", str(path)]) == 0
+    path.write_text(text)
+    return main(["catalog", "verify", "--manifest", str(path)])
+
+
+def test_catalog_external_manifest(tmp_path, capsys):
+    manifest = {"version": 1, "entries": [TWILL_ENTRY]}
+    assert verify_manifest(tmp_path, json.dumps(manifest)) == 0
     assert "1 entries, 0 failures" in capsys.readouterr().out
+
+
+def test_catalog_wrong_expectation_exits_1(tmp_path, capsys):
+    entry = {**TWILL_ENTRY, "expectedPair": "(p1, -)"}
+    assert verify_manifest(tmp_path, json.dumps({"version": 1, "entries": [entry]})) == 1
+    assert "1 entries, 1 failures" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("manifest,message", [
+    ({"version": 1, "entries": [{k: v for k, v in TWILL_ENTRY.items() if k != "design"}]},
+     "entry x-01: missing key 'design'"),
+    ({"version": 1, "entries": [{k: v for k, v in TWILL_ENTRY.items() if k != "id"}]},
+     "entry #0: missing key 'id'"),
+    ({"version": 1}, "missing key 'entries'"),
+    ([TWILL_ENTRY], "expected a JSON object"),
+    ({"version": 1, "entries": [
+        {**TWILL_ENTRY, "design": {**TWILL_ENTRY["design"],
+                                   "rows": ["##..", ".##", "..##", "#..#"]}}]},
+     "row 1 has 3 cells"),
+], ids=["no-design", "no-id", "no-entries", "top-level-list", "ragged-row"])
+def test_catalog_bad_manifest_exits_2(tmp_path, capsys, manifest, message):
+    assert verify_manifest(tmp_path, json.dumps(manifest)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_catalog_unreadable_manifest_exits_2(tmp_path, capsys):
+    assert verify_manifest(tmp_path, '{"version": 1, "entries": [') == 2
+    assert main(["catalog", "verify", "--manifest", str(tmp_path / "none.json")]) == 2
+    assert capsys.readouterr().err.count("error:") == 2
 
 
 def test_roundtrip_generate_render_analyze(tmp_path, capsys):
