@@ -16,6 +16,8 @@ from .isometry import PointOp
 BLACK = "#"
 WHITE = "."
 MAGIC = "weave-design v1"
+_CELL_CHARS = str.maketrans("10", BLACK + WHITE)
+_CELL_BITS = str.maketrans(BLACK + WHITE, "10")
 
 
 class DesignFormatError(ValueError):
@@ -52,10 +54,9 @@ class Design:
         return cls(width, len(lines), tuple(rows))
 
     def to_strings(self) -> list[str]:
-        return [
-            "".join(BLACK if (r >> i) & 1 else WHITE for i in range(self.width))
-            for r in self.rows
-        ]
+        # the binary string of a row holds cell 0 last
+        spec = f"0{self.width}b"
+        return [format(r, spec)[::-1].translate(_CELL_CHARS) for r in self.rows]
 
     def cell(self, i: int, j: int) -> int:
         """Colour of cell (i, j), extended periodically."""
@@ -144,29 +145,35 @@ class Design:
 
 def _row_bits(line: str, j: int) -> int:
     """Row integer of a '#'/'.' string, bit i holding cell i."""
-    bits = 0
-    for i, ch in enumerate(line):
-        if ch == BLACK:
-            bits |= 1 << i
-        elif ch != WHITE:
-            raise ValueError(f"invalid cell {ch!r} in row {j}")
-    return bits
+    if line.strip(BLACK + WHITE):
+        bad = next(ch for ch in line if ch not in (BLACK, WHITE))
+        raise ValueError(f"invalid cell {bad!r} in row {j}")
+    return int(line[::-1].translate(_CELL_BITS) or "0", 2)
+
+
+def content_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, body) of every line that is not blank once its
+    `//` comment is stripped; numbers count from 1."""
+    return [(lineno, body) for lineno, raw in enumerate(text.splitlines(), start=1)
+            if (body := raw.split("//", 1)[0].strip())]
 
 
 def parse_design(text: str) -> Design:
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("//", 1)[0].strip()
-        if body:
-            lines.append((lineno, body))
+    lines = content_lines(text)
     if not lines:
         raise DesignFormatError("empty design file")
     lineno, header = lines[0]
     if header != MAGIC:
         raise DesignFormatError(f"line {lineno}: expected '{MAGIC}' header")
-    if len(lines) < 2:
+    return parse_block(lines[1:])
+
+
+def parse_block(lines: list[tuple[int, str]]) -> Design:
+    """The design of a 'block W H' line and its rows, given as
+    `content_lines` pairs so that errors name the file's own lines."""
+    if not lines:
         raise DesignFormatError("missing 'block W H' line")
-    lineno, decl = lines[1]
+    lineno, decl = lines[0]
     parts = decl.split()
     if len(parts) != 3 or parts[0] != "block":
         raise DesignFormatError(f"line {lineno}: expected 'block W H'")
@@ -176,9 +183,12 @@ def parse_design(text: str) -> Design:
         raise DesignFormatError(f"line {lineno}: block dimensions must be integers") from None
     if width < 1 or height < 1:
         raise DesignFormatError(f"line {lineno}: block dimensions must be positive")
-    body = lines[2:]
+    body = lines[1:]
     if len(body) != height:
-        raise DesignFormatError(f"expected {height} rows, found {len(body)}")
+        # name the first surplus row, or the block line when rows are missing
+        where = body[height][0] if len(body) > height else lineno
+        raise DesignFormatError(
+            f"line {where}: expected {height} rows, found {len(body)}")
     rows = []
     for j, (lineno, line) in enumerate(body):
         if len(line) != width:

@@ -5,16 +5,18 @@ two-colour group over the design, red for side-preserving and blue for
 side-reversing; the layer diagram shows the induced spatial elements in
 black.  Each group record is expanded to all of its loci inside a
 window of whole blocks, and every glyph carries machine-readable class
-and data attributes.
+and data attributes.  The documents are written as text, in the layout
+that ElementTree's indent() and tostring() give the same tree.
 """
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
+from math import gcd
 
 from .analysis import ColorGroupAnalysis, axis_offset2, parallel_coeff
 from .classify import Classification
 from .isometry import AXIS_DIR
+from .lattice import Lattice
 from .naming import lift_kind
 
 CELL = 24          # pixels per grid unit
@@ -58,13 +60,91 @@ def _line_segment(u, off2: int, w2: int, h2: int):
     return None
 
 
+def _rotation_centres(lat: Lattice, name: str, t, w2: int, h2: int):
+    """Half-unit centres of the rotations (name, t + v), v in the lattice,
+    that fall inside the window, in row-major order of v."""
+    tx, ty = t
+    # the box of (x, y) = t + v whose centre can land in the window: the
+    # window itself for a half-turn, its rotated bounding box otherwise
+    if name == "rot180":
+        xs, ys = (0, w2), (0, h2)
+    elif name == "rot90":
+        xs, ys = (0, (w2 + h2) // 2), (-(w2 // 2), h2 // 2)
+    else:
+        xs, ys = (-(h2 // 2), w2 // 2), (0, (w2 + h2) // 2)
+    out = []
+    for vx, vy in lat.points_in_box((xs[0] - tx, xs[1] - tx), (ys[0] - ty, ys[1] - ty)):
+        x, y = tx + vx, ty + vy
+        if name == "rot180":
+            c2 = (x, y)
+        elif name == "rot90":
+            c2 = (x - y, x + y)
+        else:
+            c2 = (x + y, y - x)
+        if 0 <= c2[0] < w2 and 0 <= c2[1] < h2:
+            out.append(c2)
+    return out
+
+
+def _offset_range(u, w2: int, h2: int) -> tuple[int, int]:
+    """Half-open range of the half-unit offsets of the axes with
+    direction u that `_line_segment` clips to a segment."""
+    if u == (1, 0):
+        return 0, h2
+    if u == (0, 1):
+        return 0, w2
+    if u == (1, 1):
+        return 1 - h2, w2
+    return 1, w2 + h2
+
+
+def _axis_translates(lat: Lattice, name: str, t, w2: int, h2: int):
+    """(offset2, t + v) for each distinct axis of the reflections
+    (name, t + v), v in the lattice, that crosses the window.
+
+    The axes come in the order in which a row-major scan of the lattice
+    points v in the box [-pad, pad)^2, pad = w2 + h2 + 4, first meets
+    them.  That order is part of the output and is not the order of the
+    offsets: which row first meets an offset depends on where the scan
+    starts and where each row is clipped.  So the walk keeps the box's
+    first row and column bounds, visits in each row only the points
+    whose axis crosses the window, and stops once every reachable
+    offset has been met.
+    """
+    lo, hi = _offset_range(AXIS_DIR[name], w2, h2)
+    a, b, c = lat.a, lat.b, lat.c
+    step = axis_offset2(name, (a, 0))
+    # the offsets of t + L are axis_offset2(t) + gZ
+    g = gcd(step, axis_offset2(name, (b, c)))
+    want = len(range(lo + (axis_offset2(name, t) - lo) % g, hi, g))
+    pad = w2 + h2 + 4
+    found = {}
+    for m in range(-(pad // c), (pad - 1) // c + 1):
+        if len(found) == want:
+            break
+        x, y = t[0] + m * b, t[1] + m * c
+        n0 = -((pad + m * b) // a)
+        n1 = (pad - 1 - m * b) // a
+        f0 = axis_offset2(name, (x, y))
+        if step:
+            n_lo = max(n0, -((f0 - lo) // step))
+            n_hi = min(n1, (hi - 1 - f0) // step)
+        elif lo <= f0 < hi:
+            n_lo = n_hi = n0
+        else:
+            continue
+        for n in range(n_lo, n_hi + 1):
+            off2 = f0 + n * step
+            if off2 not in found:
+                found[off2] = (x + n * a, y)
+    return found.items()
+
+
 def _expand_glyphs(analysis: ColorGroupAnalysis, nx: int, ny: int):
     """All glyphs inside the window, as half-unit geometry."""
     d = analysis.design
     lat = analysis.lattice
     w2, h2 = 2 * d.width * nx, 2 * d.height * ny
-    pad = w2 + h2 + 4
-    vbox = lat.points_in_box((-pad, pad), (-pad, pad))
     glyphs = []
     for el in analysis.elements:
         kind = el.element["kind"]
@@ -76,36 +156,17 @@ def _expand_glyphs(analysis: ColorGroupAnalysis, nx: int, ny: int):
             continue
         op, t = el.iso.op, el.iso.t
         if kind in ("rotation2", "rotation4"):
-            seen = set()
-            for v in vbox:
-                tx, ty = t[0] + v[0], t[1] + v[1]
-                if op.name == "rot180":
-                    c2 = (tx, ty)
-                elif op.name == "rot90":
-                    c2 = (tx - ty, tx + ty)
-                else:
-                    c2 = (tx + ty, ty - tx)
-                if 0 <= c2[0] < w2 and 0 <= c2[1] < h2 and c2 not in seen:
-                    seen.add(c2)
-                    glyphs.append({"side": el.side, "shape": "point",
-                                   "kind": kind, "center2": c2})
+            glyphs.extend({"side": el.side, "shape": "point", "kind": kind, "center2": c2}
+                          for c2 in _rotation_centres(lat, op.name, t, w2, h2))
         else:
             u = AXIS_DIR[op.name]
             m2 = 2 * lat.min_along(u)
-            seen = set()
-            for v in vbox:
-                tv = (t[0] + v[0], t[1] + v[1])
-                off2 = axis_offset2(op.name, tv)
-                if off2 in seen:
-                    continue
-                seg = _line_segment(u, off2, w2, h2)
-                if seg is None:
-                    continue
-                seen.add(off2)
+            for off2, tv in _axis_translates(lat, op.name, t, w2, h2):
                 r = parallel_coeff(op, tv) % m2
                 glyphs.append({"side": el.side, "shape": "line",
                                "kind": "mirror" if r == 0 else "glide",
-                               "offset2": off2, "segment": seg})
+                               "offset2": off2,
+                               "segment": _line_segment(u, off2, w2, h2)})
     return glyphs, (w2, h2)
 
 
@@ -113,22 +174,65 @@ def _px(v2: int) -> str:
     return str(v2 * HALF)
 
 
-def _draw_cells(root, design, nx, ny):
-    w2, h2 = 2 * design.width * nx, 2 * design.height * ny
-    ET.SubElement(root, "rect", {
-        "x": "0", "y": "0", "width": _px(w2), "height": _px(h2),
-        "fill": "#ffffff", "stroke": "#999999", "stroke-width": "1"})
-    cells = ET.SubElement(root, "g", {"class": "design"})
-    for j in range(design.height * ny):
-        for i in range(design.width * nx):
-            if design.cell(i, j):
-                ET.SubElement(cells, "rect", {
-                    "x": str(i * CELL), "y": str(j * CELL),
-                    "width": str(CELL), "height": str(CELL),
-                    "class": "cell", "fill": "#222222"})
+# ElementTree's attribute escaping; it replaces "&" first, so one
+# translation pass gives the same text
+_ATTRIB_ESCAPES = str.maketrans({
+    "&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+    "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"})
 
 
-def _draw_glyph(parent, glyph, css: str, data_kind: str, color: str):
+def _start(depth: int, tag: str, attrs: dict) -> str:
+    """Indented start tag, attributes in insertion order."""
+    return "  " * depth + "<" + tag + "".join(
+        f' {k}="{v.translate(_ATTRIB_ESCAPES)}"' for k, v in attrs.items())
+
+
+def _leaf(depth: int, tag: str, attrs: dict) -> str:
+    return _start(depth, tag, attrs) + " />"
+
+
+def _element(depth: int, tag: str, attrs: dict, children: list[str]) -> list[str]:
+    """Lines of one element over its already written children, laid out
+    as `ET.indent` and `ET.tostring` lay it out."""
+    if not children:
+        return [_leaf(depth, tag, attrs)]
+    return [_start(depth, tag, attrs) + ">", *children, "  " * depth + f"</{tag}>"]
+
+
+def _document(w2: int, h2: int, body: list[str]) -> str:
+    return "\n".join(_element(0, "svg", {
+        "xmlns": "http://www.w3.org/2000/svg",
+        "width": _px(w2), "height": _px(h2),
+        "viewBox": f"0 0 {w2 * HALF} {h2 * HALF}"}, body)) + "\n"
+
+
+_DEFS = _element(1, "defs", {}, _element(2, "marker", {
+    "id": "arrow", "markerWidth": "8", "markerHeight": "8",
+    "refX": "6", "refY": "3", "orient": "auto"},
+    [_leaf(3, "path", {"d": "M0,0 L6,3 L0,6 z", "fill": "context-stroke"})]))
+# cell rectangles differ only in their integer x and y
+_CELL_RECT = _leaf(2, "rect", {
+    "x": "%d", "y": "%d", "width": str(CELL), "height": str(CELL),
+    "class": "cell", "fill": "#222222"})
+
+
+def _draw_cells(design, nx: int, ny: int) -> list[str]:
+    w, h = design.width, design.height
+    repunit = ((1 << (w * nx)) - 1) // ((1 << w) - 1)
+    cells = []
+    for j in range(h * ny):
+        r = design.rows[j % h] * repunit
+        while r:
+            low = r & -r
+            cells.append(_CELL_RECT % ((low.bit_length() - 1) * CELL, j * CELL))
+            r ^= low
+    return [_leaf(1, "rect", {
+        "x": "0", "y": "0", "width": _px(2 * w * nx), "height": _px(2 * h * ny),
+        "fill": "#ffffff", "stroke": "#999999", "stroke-width": "1"}),
+        *_element(1, "g", {"class": "design"}, cells)]
+
+
+def _draw_glyph(glyph, css: str, data_kind: str, color: str) -> str:
     shape = glyph["shape"]
     if shape == "line":
         (x0, y0), (x1, y1) = glyph["segment"]
@@ -146,52 +250,40 @@ def _draw_glyph(parent, glyph, css: str, data_kind: str, color: str):
             attrs["stroke-width"] = "1.8"
         else:
             attrs["stroke-width"] = "2.5"
-        ET.SubElement(parent, "line", attrs)
-    elif shape == "point":
+        return _leaf(2, "line", attrs)
+    if shape == "point":
         cx, cy = glyph["center2"]
         base = {"class": css, "data-kind": data_kind,
                 "data-x2": str(cx), "data-y2": str(cy)}
         if data_kind in ("rotation4", "axis4-normal", "rotoinversion4-normal"):
-            ET.SubElement(parent, "rect", {
+            return _leaf(2, "rect", {
                 "x": str(cx * HALF - 5), "y": str(cy * HALF - 5),
                 "width": "10", "height": "10",
                 "fill": "none" if data_kind == "rotoinversion4-normal" else color,
                 "stroke": color, "stroke-width": "1.5",
                 "transform": f"rotate(45 {cx * HALF} {cy * HALF})", **base})
-        elif data_kind == "inversion-center":
-            ET.SubElement(parent, "circle", {
+        if data_kind == "inversion-center":
+            return _leaf(2, "circle", {
                 "cx": _px(cx), "cy": _px(cy), "r": "4",
                 "fill": "#ffffff", "stroke": color, "stroke-width": "1.5",
                 **base})
-        else:
-            ET.SubElement(parent, "ellipse", {
-                "cx": _px(cx), "cy": _px(cy), "rx": "5.5", "ry": "3",
-                "fill": color, **base})
-    else:
-        vx, vy = glyph["vector"]
-        ET.SubElement(parent, "line", {
-            "x1": "0", "y1": "0", "x2": str(vx * CELL), "y2": str(vy * CELL),
-            "class": css, "data-kind": data_kind,
-            "data-vector": f"{vx},{vy}",
-            "stroke": color, "stroke-width": "3",
-            "stroke-dasharray": "4 3" if data_kind == "glide-plane-parallel" else "none",
-            "marker-end": "url(#arrow)"})
+        return _leaf(2, "ellipse", {
+            "cx": _px(cx), "cy": _px(cy), "rx": "5.5", "ry": "3",
+            "fill": color, **base})
+    vx, vy = glyph["vector"]
+    return _leaf(2, "line", {
+        "x1": "0", "y1": "0", "x2": str(vx * CELL), "y2": str(vy * CELL),
+        "class": css, "data-kind": data_kind,
+        "data-vector": f"{vx},{vy}",
+        "stroke": color, "stroke-width": "3",
+        "stroke-dasharray": "4 3" if data_kind == "glide-plane-parallel" else "none",
+        "marker-end": "url(#arrow)"})
 
 
 def _svg(analysis: ColorGroupAnalysis, repeats, mode: str) -> str:
     nx, ny = repeats
     glyphs, (w2, h2) = _expand_glyphs(analysis, nx, ny)
-    root = ET.Element("svg", {
-        "xmlns": "http://www.w3.org/2000/svg",
-        "width": _px(w2), "height": _px(h2),
-        "viewBox": f"0 0 {w2 * HALF} {h2 * HALF}"})
-    defs = ET.SubElement(root, "defs")
-    marker = ET.SubElement(defs, "marker", {
-        "id": "arrow", "markerWidth": "8", "markerHeight": "8",
-        "refX": "6", "refY": "3", "orient": "auto"})
-    ET.SubElement(marker, "path", {"d": "M0,0 L6,3 L0,6 z", "fill": "context-stroke"})
-    _draw_cells(root, analysis.design, nx, ny)
-    overlay = ET.SubElement(root, "g", {"class": f"{mode}-elements"})
+    overlay = []
     order = {"line": 0, "vector": 1, "point": 2}
     for glyph in sorted(glyphs, key=lambda g: order[g["shape"]]):
         side = glyph["side"]
@@ -199,14 +291,15 @@ def _svg(analysis: ColorGroupAnalysis, repeats, mode: str) -> str:
             short = {"rotation2": "rot2", "rotation4": "rot4"}.get(
                 glyph["kind"], glyph["kind"])
             css = f"{short} {side.lower()}"
-            _draw_glyph(overlay, glyph, css, glyph["kind"],
-                        RED if side == "S1" else BLUE)
+            overlay.append(_draw_glyph(glyph, css, glyph["kind"],
+                                       RED if side == "S1" else BLUE))
         else:
             lifted = lift_kind(glyph["kind"], side)
             css = f"{_LAYER_CLASS[lifted]} {side.lower()}"
-            _draw_glyph(overlay, glyph, css, lifted, BLACK)
-    ET.indent(root)
-    return ET.tostring(root, encoding="unicode") + "\n"
+            overlay.append(_draw_glyph(glyph, css, lifted, BLACK))
+    return _document(w2, h2, [
+        *_DEFS, *_draw_cells(analysis.design, nx, ny),
+        *_element(1, "g", {"class": f"{mode}-elements"}, overlay)])
 
 
 def color_diagram_svg(cls: Classification | ColorGroupAnalysis,
@@ -226,14 +319,8 @@ def layer_diagram_svg(cls: Classification | ColorGroupAnalysis,
 def design_svg(design, repeats=(1, 1)) -> str:
     """Plain cell rendering, no symmetry overlay."""
     nx, ny = repeats
-    w2, h2 = 2 * design.width * nx, 2 * design.height * ny
-    root = ET.Element("svg", {
-        "xmlns": "http://www.w3.org/2000/svg",
-        "width": _px(w2), "height": _px(h2),
-        "viewBox": f"0 0 {w2 * HALF} {h2 * HALF}"})
-    _draw_cells(root, design, nx, ny)
-    ET.indent(root)
-    return ET.tostring(root, encoding="unicode") + "\n"
+    return _document(2 * design.width * nx, 2 * design.height * ny,
+                     _draw_cells(design, nx, ny))
 
 
 def save_svg(text: str, path) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .design import Design, DesignFormatError, parse_design, MAGIC as DESIGN_MAGIC
+from .design import Design, DesignFormatError, content_lines, parse_block
 
 STRUCTURE_MAGIC = "weave-structure v1"
 
@@ -121,35 +121,33 @@ def striped_faces(count: int, stripe: int, phase: int = 0,
 
 
 def parse_structure(text: str) -> WeaveStructure:
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("//", 1)[0].strip()
-        if body:
-            lines.append((lineno, body))
+    lines = content_lines(text)
     if not lines:
         raise DesignFormatError("empty structure file")
     lineno, header = lines[0]
     if header != STRUCTURE_MAGIC:
         raise DesignFormatError(f"line {lineno}: expected '{STRUCTURE_MAGIC}' header")
-    warp = weft = None
-    design_parts = [DESIGN_MAGIC]
+    faces = {}                  # "warp"/"weft" -> (line number, entries)
+    pattern_lines = []
     for lineno, line in lines[1:]:
-        if line.startswith("warp "):
-            warp = line.split()[1:]
-        elif line.startswith("weft "):
-            weft = line.split()[1:]
+        if line.startswith(("warp ", "weft ")):
+            faces[line[:4]] = (lineno, line.split()[1:])
         else:
-            design_parts.append(line)
+            pattern_lines.append((lineno, line))
     try:
-        pattern = parse_design("\n".join(design_parts))
+        pattern = parse_block(pattern_lines)
     except DesignFormatError as exc:
         raise DesignFormatError(f"in structure pattern: {exc}") from None
-    if warp is None or weft is None:
+    if len(faces) != 2:
         raise DesignFormatError("structure needs 'warp ...' and 'weft ...' lines")
-    try:
-        return WeaveStructure(pattern, tuple(warp), tuple(weft))
-    except ValueError as exc:
-        raise DesignFormatError(str(exc)) from None
+    checked = {}
+    for label, count in (("warp", pattern.width), ("weft", pattern.height)):
+        lineno, entries = faces[label]
+        try:
+            checked[label] = _check_faces(entries, count, label)
+        except ValueError as exc:
+            raise DesignFormatError(f"line {lineno}: {exc}") from None
+    return WeaveStructure(pattern, checked["warp"], checked["weft"])
 
 
 def format_structure(struct: WeaveStructure) -> str:

@@ -1,12 +1,17 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from weavesym.classify import classify
 from weavesym.design import Design
 from weavesym.weave import gen_twill
 
 SEED = 20260814
+
+# property tests draw the same examples on every run and never time out
+settings.register_profile("weavesym", derandomize=True, deadline=None, database=None)
+settings.load_profile("weavesym")
 
 
 def random_design(rng, max_w=8, max_h=8):

@@ -41,6 +41,17 @@ def test_to_strings_roundtrip():
     assert Design.from_strings(TWILL.to_strings()) == TWILL
 
 
+def test_to_strings_matches_cells():
+    for w in range(1, 11):
+        for h in range(1, 10 // w + 1):
+            for bits in range(1 << (w * h)):
+                d = Design(w, h, tuple((bits >> (j * w)) & ((1 << w) - 1)
+                                       for j in range(h)))
+                assert d.to_strings() == [
+                    "".join("#" if d.cell(i, j) else "." for i in range(w))
+                    for j in range(h)]
+
+
 def test_cell_is_periodic():
     d = Design.from_strings(["#.", ".#"])
     assert d.cell(0, 0) == 1
@@ -136,8 +147,10 @@ def test_parse_design_errors():
         parse_design("weave-design v1\nblock 3 1\n#.\n")
     with pytest.raises(DesignFormatError, match="invalid cell"):
         parse_design("weave-design v1\nblock 2 1\n#x\n")
-    with pytest.raises(DesignFormatError, match="expected 2 rows"):
+    with pytest.raises(DesignFormatError, match="^line 2: expected 2 rows, found 1"):
         parse_design("weave-design v1\nblock 2 2\n..\n")
+    with pytest.raises(DesignFormatError, match="^line 5: expected 1 rows, found 2"):
+        parse_design("weave-design v1\nblock 2 1\n..\n// two\n##\n")
 
 
 def test_format_parse_roundtrip():

@@ -1,5 +1,11 @@
+import random
 import xml.etree.ElementTree as ET
 
+import reference_diagrams as ref
+
+from weavesym import diagrams
+from weavesym.analysis import _rotl, color_group
+from weavesym.catalog import load_manifest
 from weavesym.classify import classify
 from weavesym.design import Design
 from weavesym.diagrams import color_diagram_svg, design_svg, layer_diagram_svg
@@ -110,3 +116,93 @@ def test_mirror_lines_land_on_axis():
         # horizontal mirrors only, at the recorded half-unit offset
         y1, y2 = float(el.get("y1")), float(el.get("y2"))
         assert y1 == y2 == int(el.get("data-offset2")) * 12
+
+
+# --------------------------------------------- byte identity with the reference
+
+REPEATS = ((1, 1), (2, 2), (3, 2))
+
+
+def assert_reference_svgs(analysis):
+    for repeats in REPEATS:
+        glyphs, _ = ref.expand_glyphs(analysis, *repeats)
+        where = (analysis.design, repeats)
+        assert color_diagram_svg(analysis, repeats) == ref.render(
+            analysis, glyphs, repeats, "color"), where
+        assert layer_diagram_svg(analysis, repeats) == ref.render(
+            analysis, glyphs, repeats, "layer"), where
+
+
+def test_svg_matches_reference_on_small_blocks():
+    count = 0
+    for w in range(1, 10):
+        for h in range(1, 9 // w + 1):
+            for bits in range(1 << (w * h)):
+                rows = tuple((bits >> (j * w)) & ((1 << w) - 1) for j in range(h))
+                assert_reference_svgs(color_group(Design(w, h, rows)))
+                count += 1
+    assert count == 3210
+
+
+def test_svg_matches_reference_on_catalog():
+    entries = load_manifest()
+    assert len(entries) == 44
+    for entry in entries:
+        assert_reference_svgs(color_group(entry.design))
+
+
+def sheared_motifs(rng, count):
+    """Seeded motifs, half of them square and symmetric about the
+    diagonal, tiled up to 3x3 and sheared by a shift that grows with the
+    motif row band."""
+    for _ in range(count):
+        mw = rng.randint(1, 3)
+        if rng.random() < 0.5:
+            mh = mw
+            upper = {(i, j): rng.getrandbits(1) for j in range(mw) for i in range(j, mw)}
+            rows = [sum(upper[max(i, j), min(i, j)] << i for i in range(mw))
+                    for j in range(mh)]
+        else:
+            mh = rng.randint(1, 3)
+            rows = [rng.getrandbits(mw) for _ in range(mh)]
+        tiled = Design(mw, mh, tuple(rows)).tiled(rng.randint(1, 3), rng.randint(1, 3))
+        w = tiled.width
+        shear = rng.randrange(w)
+        yield Design(w, tiled.height, tuple(
+            _rotl(r, shear * (j // mh), w, (1 << w) - 1)
+            for j, r in enumerate(tiled.rows)))
+
+
+def test_svg_matches_reference_on_sheared_motifs():
+    sheared = diagonal = 0
+    for design in sheared_motifs(random.Random(20261018), 150):
+        analysis = color_group(design)
+        sheared += analysis.lattice.b != 0
+        diagonal += any(el.iso.op.name in ("mirror_diag", "mirror_anti")
+                        for el in analysis.elements)
+        assert_reference_svgs(analysis)
+    assert sheared and diagonal
+
+
+def test_design_svg_matches_reference():
+    blank = [Design(w, h, (0,) * h) for w, h in ((1, 1), (3, 2), (2, 5))]
+    for design in blank + [TWILL, REFERENCE, TWILL.tiled(2, 3)]:
+        for repeats in ((1, 1), (2, 3)):
+            assert design_svg(design, repeats) == ref.design_svg(design, repeats)
+    assert '<g class="design" />' in design_svg(blank[1])
+
+
+def test_line_glyphs_cost_one_clip_each(monkeypatch):
+    calls = 0
+    real = diagrams._line_segment
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(diagrams, "_line_segment", counted)
+    glyphs, _ = diagrams._expand_glyphs(color_group(TWILL.tiled(8, 8)), 2, 2)
+    lines = sum(g["shape"] == "line" for g in glyphs)
+    assert lines == 382
+    assert calls == lines

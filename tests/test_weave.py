@@ -121,3 +121,15 @@ def test_parse_structure_errors():
     with pytest.raises(DesignFormatError, match="face"):
         parse_structure(
             "weave-structure v1\nblock 2 1\n#.\nwarp BW\nweft WB\n")
+
+
+def test_parse_structure_errors_name_the_file_line():
+    head = "weave-structure v1\n// a comment\n\nblock 2 2\n#.\n"
+    with pytest.raises(DesignFormatError,
+                       match="^in structure pattern: line 6: invalid cell 'x'"):
+        parse_structure(head + "#x\nwarp BW BW\nweft WB WB\n")
+    with pytest.raises(DesignFormatError,
+                       match="^line 7: expected 2 warp face entries, got 1$"):
+        parse_structure(head + "##\nwarp BW\nweft WB WB\n")
+    with pytest.raises(DesignFormatError, match="^line 8: bad weft faces 'WX'"):
+        parse_structure(head + "##\nwarp BW BW\nweft WB WX\n")
