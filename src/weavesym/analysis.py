@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .design import Design
+from .design import Design, rotl
 from .isometry import (
     AXIS_DIR,
     GridIsometry,
@@ -33,28 +33,26 @@ def side_of(chi: str, delta: int) -> str:
     return "S1" if (chi == PRESERVE) == (delta == 1) else "S2"
 
 
-def _rotl(row: int, s: int, w: int, mask: int) -> int:
-    s %= w
-    if s == 0:
-        return row
-    return ((row << s) | (row >> (w - s))) & mask
-
-
-def _translation_action(design: Design, a: int, b: int) -> str | None:
-    w, h, rows = design.width, design.height, design.rows
-    mask = (1 << w) - 1
-    first = _rotl(rows[0], a, w, mask) ^ rows[b % h]
+def _shift_action(rows, image, sx: int, sy: int, w: int, mask: int) -> str | None:
+    """PRESERVE when rotating every row j by sx gives image row j + sy,
+    SWAP when it gives that row's complement, else None."""
+    h = len(rows)
+    first = rotl(rows[0], sx, w, mask) ^ image[sy % h]
     if first == 0:
         kind = PRESERVE
     elif first == mask:
         kind = SWAP
     else:
         return None
-    want = 0 if kind == PRESERVE else mask
     for j in range(1, h):
-        if _rotl(rows[j], a, w, mask) ^ rows[(j + b) % h] != want:
+        if rotl(rows[j], sx, w, mask) ^ image[(j + sy) % h] != first:
             return None
     return kind
+
+
+def _translation_action(design: Design, a: int, b: int) -> str | None:
+    w = design.width
+    return _shift_action(design.rows, design.rows, a, b, w, (1 << w) - 1)
 
 
 def _first_acting(design: Design, vectors) -> tuple[Vec, str] | None:
@@ -85,7 +83,7 @@ def translation_lattices(design: Design) -> tuple[Lattice, Vec | None]:
     # only x < a can be the Hermite b
     shifts: dict[int, list[int]] = {}
     for x in range(e1[0]):
-        shifts.setdefault(_rotl(rows[0], x, w, mask), []).append(x)
+        shifts.setdefault(rotl(rows[0], x, w, mask), []).append(x)
     e2, chi2 = _first_acting(design, (
         (x, c)
         for c in range(1, h) if h % c == 0
@@ -242,24 +240,12 @@ def op_members(design: Design, lat: Lattice, per_op: int,
     w, h, rows = design.width, design.height, design.rows
     mask = (1 << w) - 1
     egrid = design.pullback_rows(op, w, h)
-    inv = invert_op(op)
+    (a, b), (c, d) = invert_op(op).matrix
     found = []
     for t in lat.coset_reps():
-        sx, sy = inv.apply(t)
-        sx %= w
-        sy %= h
-        first = _rotl(rows[0], sx, w, mask) ^ egrid[sy]
-        if first == 0:
-            chi = PRESERVE
-        elif first == mask:
-            chi = SWAP
-        else:
-            continue
-        want = 0 if chi == PRESERVE else mask
-        if any(
-            _rotl(rows[j], sx, w, mask) ^ egrid[(j + sy) % h] != want
-            for j in range(1, h)
-        ):
+        tx, ty = t
+        chi = _shift_action(rows, egrid, a * tx + b * ty, c * tx + d * ty, w, mask)
+        if chi is None:
             continue
         found.append((t, chi))
         if len(found) == per_op:

@@ -27,17 +27,24 @@ def has_glide(plane_symbol: str) -> bool:
     return "g" in plane_symbol or plane_symbol.startswith("c")
 
 
-ENTRY_KEYS = ("id", "name", "itemType", "design", "expectedPair",
-              "expectedLayer", "hasGlide", "synthetic")
-DESIGN_KEYS = ("width", "height", "rows")
+# the keys of a manifest entry and of its design, with their JSON types
+ENTRY_KEYS = {"id": str, "name": str, "itemType": str, "design": dict,
+              "expectedPair": str, "expectedLayer": str, "hasGlide": bool,
+              "synthetic": bool}
+DESIGN_KEYS = {"width": int, "height": int, "rows": list}
+_TYPE_NAMES = {str: "a string", bool: "true or false", int: "an integer",
+               list: "a list", dict: "an object"}
 
 
-def _require(obj, keys, where: str) -> None:
+def _require(obj, keys: dict, where: str) -> None:
     if not isinstance(obj, dict):
         raise ValueError(f"{where}: expected a JSON object")
-    for key in keys:
+    for key, kind in keys.items():
         if key not in obj:
             raise ValueError(f"{where}: missing key {key!r}")
+        # exact types, so that true is not taken for an integer
+        if type(obj[key]) is not kind:
+            raise ValueError(f"{where}: key {key!r} must be {_TYPE_NAMES[kind]}")
 
 
 @dataclass(frozen=True)
@@ -53,15 +60,19 @@ class CatalogEntry:
 
     @classmethod
     def from_json(cls, obj: dict, index: int = 0) -> "CatalogEntry":
-        """Entry from its manifest object.  A malformed object raises
-        ValueError naming the entry by its id, or by its `index` in the
-        manifest when it has none."""
+        """Entry from its manifest object.  A malformed object, or a key
+        of the wrong JSON type, raises ValueError naming the key and the
+        entry: by its id, or by its `index` in the manifest when it has
+        no string id."""
         label = obj.get("id") if isinstance(obj, dict) else None
-        where = f"entry {label}" if label is not None else f"entry #{index}"
+        where = f"entry {label}" if isinstance(label, str) else f"entry #{index}"
         _require(obj, ENTRY_KEYS, where)
         d = obj["design"]
         _require(d, DESIGN_KEYS, f"{where} design")
-        design = Design.from_strings(d["rows"])
+        try:
+            design = Design.from_strings(d["rows"])
+        except ValueError as exc:
+            raise ValueError(f"{where} design: {exc}") from None
         if design.width != d["width"] or design.height != d["height"]:
             raise ValueError(f"{where}: design size mismatch")
         return cls(

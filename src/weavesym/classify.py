@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import ColorGroupAnalysis, GroupElement, color_group
+from .analysis import ColorGroupAnalysis, color_group
 from .design import Design
-from .lattice import Lattice
 from .naming import (
     canonical_symbol,
     group_records,
@@ -28,26 +27,6 @@ class Classification:
     layer_symbol: str
     provisional: bool
     inventory: tuple[dict, ...]
-
-    @property
-    def design(self) -> Design:
-        return self.analysis.design
-
-    @property
-    def lattice(self) -> Lattice:
-        return self.analysis.lattice
-
-    @property
-    def swap_rep(self):
-        return self.analysis.swap_rep
-
-    @property
-    def elements(self) -> tuple[GroupElement, ...]:
-        return self.analysis.elements
-
-    @property
-    def s2_empty(self) -> bool:
-        return self.analysis.s2_empty
 
     def to_json(self) -> dict:
         a = self.analysis

@@ -32,15 +32,16 @@ def _cmd_analyze(args) -> int:
     if args.json:
         print(json.dumps(cls.to_json(), indent=2, ensure_ascii=False))
         return 0
-    d = cls.design
-    print(f"design {d.width}x{d.height}, {d.black_count}/{d.width * d.height} black")
-    a, b, c = cls.lattice.a, cls.lattice.b, cls.lattice.c
+    an = cls.analysis
+    print(f"design {design.width}x{design.height}, "
+          f"{design.black_count}/{design.width * design.height} black")
+    a, b, c = an.lattice.a, an.lattice.b, an.lattice.c
     line = f"translations ({a},0) ({b},{c})"
-    if cls.swap_rep is not None:
-        line += f", colour-swapping rep ({cls.swap_rep[0]},{cls.swap_rep[1]})"
+    if an.swap_rep is not None:
+        line += f", colour-swapping rep ({an.swap_rep[0]},{an.swap_rep[1]})"
     print(line)
     print(f"S  = {cls.plane_group_s}")
-    print(f"S1 = {cls.plane_group_s1}" + ("  (S2 empty)" if cls.s2_empty else ""))
+    print(f"S1 = {cls.plane_group_s1}" + ("  (S2 empty)" if an.s2_empty else ""))
     if cls.provisional:
         print("provisional: contains 4-fold rotations")
     print(f"{cls.pair_descriptor} → {cls.layer_symbol}")

@@ -3,7 +3,9 @@
 A design assigns one of two colours to every grid cell and repeats with
 some translational block.  Black (1) marks cells where the weft strand
 passes over the warp; white (0) marks warp-over-weft.  Rows are stored
-as integers with bit i holding the colour of cell (i, j).
+as integers with bit i holding the colour of cell (i, j); `rotl`,
+`reverse_row` and `tile_rows` are the row operations the rest of the
+package builds on.
 """
 
 from __future__ import annotations
@@ -24,6 +26,28 @@ class DesignFormatError(ValueError):
     """Raised for malformed design files."""
 
 
+def rotl(row: int, s: int, w: int, mask: int) -> int:
+    """A w-cell row rotated so that cell i moves to cell i + s mod w;
+    `mask` is (1 << w) - 1."""
+    s %= w
+    if s == 0:
+        return row
+    return ((row << s) | (row >> (w - s))) & mask
+
+
+def reverse_row(row: int, w: int) -> int:
+    """A w-cell row mirrored so that cell i moves to cell w - 1 - i."""
+    return int(format(row, f"0{w}b")[::-1], 2)
+
+
+def tile_rows(rows, w: int, width: int) -> list[int]:
+    """Each w-cell row repeated across `width` cells, cut at the right."""
+    n = -(-width // w)
+    repunit = ((1 << (w * n)) - 1) // ((1 << w) - 1)
+    mask = (1 << width) - 1
+    return [(r * repunit) & mask for r in rows]
+
+
 @dataclass(frozen=True)
 class Design:
     width: int
@@ -42,16 +66,18 @@ class Design:
 
     @classmethod
     def from_strings(cls, lines) -> "Design":
-        """Design from equal-length rows of '#' (black) and '.' (white)."""
+        """Design from equal-length strings of '#' (black) and '.'
+        (white); anything else raises ValueError."""
         if not lines:
             raise ValueError("a design needs at least one row")
-        width = len(lines[0])
         rows = []
         for j, line in enumerate(lines):
-            if len(line) != width:
-                raise ValueError(f"row {j} has {len(line)} cells, expected {width}")
+            if not isinstance(line, str):
+                raise ValueError(f"row {j} is not a string")
+            if len(line) != len(lines[0]):
+                raise ValueError(f"row {j} has {len(line)} cells, expected {len(lines[0])}")
             rows.append(_row_bits(line, j))
-        return cls(width, len(lines), tuple(rows))
+        return cls(len(lines[0]), len(lines), tuple(rows))
 
     def to_strings(self) -> list[str]:
         # the binary string of a row holds cell 0 last
@@ -66,24 +92,14 @@ class Design:
     def black_count(self) -> int:
         return sum(r.bit_count() for r in self.rows)
 
-    @property
-    def is_balanced(self) -> bool:
-        return 2 * self.black_count == self.width * self.height
-
     def complemented(self) -> "Design":
         mask = (1 << self.width) - 1
         return Design(self.width, self.height, tuple(r ^ mask for r in self.rows))
 
     def tiled(self, nx: int, ny: int) -> "Design":
         """The same pattern declared on an nx-by-ny multiple block."""
-        rows = []
-        for j in range(self.height * ny):
-            r = self.rows[j % self.height]
-            bits = 0
-            for k in range(nx):
-                bits |= r << (k * self.width)
-            rows.append(bits)
-        return Design(self.width * nx, self.height * ny, tuple(rows))
+        rows = tile_rows(self.rows, self.width, self.width * nx)
+        return Design(self.width * nx, self.height * ny, tuple(rows) * ny)
 
     def transformed(self, op: PointOp) -> "Design":
         """Pull-back of the design under a point operation.
@@ -117,27 +133,12 @@ class Design:
         else:
             flip_x, flip_y = a < 0, d < 0
         if flip_x:
-            rows = [int(format(r, f"0{w}b")[::-1], 2) for r in rows]
+            rows = [reverse_row(r, w) for r in rows]
         if flip_y:
             rows = rows[::-1]
         if width != w:
-            # repeat each w-bit row across the output width, then crop
-            n = -(-width // w)
-            repunit = ((1 << (w * n)) - 1) // ((1 << w) - 1)
-            mask = (1 << width) - 1
-            rows = [(r * repunit) & mask for r in rows]
+            rows = tile_rows(rows, w, width)
         return tuple(rows[j % h] for j in range(height))
-
-    def translated(self, dx: int, dy: int) -> "Design":
-        """The design shifted so old cell (i, j) lands on (i+dx, j+dy)."""
-        w, h = self.width, self.height
-        mask = (1 << w) - 1
-        dx %= w
-        out = []
-        for j in range(h):
-            r = self.rows[(j - dy) % h]
-            out.append(((r << dx) | (r >> (w - dx))) & mask if dx else r)
-        return Design(w, h, tuple(out))
 
     def __str__(self) -> str:
         return "\n".join(self.to_strings())

@@ -217,17 +217,15 @@ _CELL_RECT = _leaf(2, "rect", {
 
 
 def _draw_cells(design, nx: int, ny: int) -> list[str]:
-    w, h = design.width, design.height
-    repunit = ((1 << (w * nx)) - 1) // ((1 << w) - 1)
+    tiled = design.tiled(nx, ny)
     cells = []
-    for j in range(h * ny):
-        r = design.rows[j % h] * repunit
+    for j, r in enumerate(tiled.rows):
         while r:
             low = r & -r
             cells.append(_CELL_RECT % ((low.bit_length() - 1) * CELL, j * CELL))
             r ^= low
     return [_leaf(1, "rect", {
-        "x": "0", "y": "0", "width": _px(2 * w * nx), "height": _px(2 * h * ny),
+        "x": "0", "y": "0", "width": _px(2 * tiled.width), "height": _px(2 * tiled.height),
         "fill": "#ffffff", "stroke": "#999999", "stroke-width": "1"}),
         *_element(1, "g", {"class": "design"}, cells)]
 

@@ -15,9 +15,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .analysis import _build_group, _rotl, op_members, side_of, translation_lattices
+from .analysis import _build_group, op_members, side_of, translation_lattices
 from .classify import Classification, classify_analysis
-from .design import Design
+from .design import Design, rotl
 from .isometry import (
     MIRROR_ANTI,
     MIRROR_DIAG,
@@ -75,12 +75,12 @@ def parse_layer_target(text: str) -> SearchTarget:
 
 
 def _max_rotation(row: int, w: int, mask: int) -> int:
-    return max(_rotl(row, s, w, mask) for s in range(w))
+    return max(rotl(row, s, w, mask) for s in range(w))
 
 
 def _proper_period(rows, w: int, h: int, mask: int) -> bool:
     for p in {w // f for f in _prime_factors(w)}:
-        if all(_rotl(r, p, w, mask) == r for r in rows):
+        if all(rotl(r, p, w, mask) == r for r in rows):
             return True
     for q in {h // f for f in _prime_factors(h)}:
         if all(rows[j] == rows[(j + q) % h] for j in range(h)):
@@ -151,7 +151,7 @@ def canonical_key(design: Design):
         for dy in range(h):
             rot = d2.rows[dy:] + d2.rows[:dy]
             for dx in range(w):
-                cand = (w, h, tuple(_rotl(r, dx, w, mask) for r in rot))
+                cand = (w, h, tuple(rotl(r, dx, w, mask) for r in rot))
                 if best is None or cand < best:
                     best = cand
     return best
@@ -160,7 +160,7 @@ def canonical_key(design: Design):
 def matches(cls: Classification, target: SearchTarget) -> bool:
     if cls.plane_group_s != target.s:
         return False
-    s1d = "-" if cls.s2_empty else cls.plane_group_s1
+    s1d = "-" if cls.analysis.s2_empty else cls.plane_group_s1
     if s1d != target.s1:
         return False
     return target.layer is None or cls.layer_symbol == target.layer

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .design import Design, DesignFormatError, content_lines, parse_block
+from .design import Design, DesignFormatError, content_lines, parse_block, reverse_row, rotl
 
 STRUCTURE_MAGIC = "weave-structure v1"
 
@@ -55,43 +55,37 @@ class WeaveStructure:
                 weft: str = ONESIDED_WEFT) -> "WeaveStructure":
         return cls(pattern, (warp,) * pattern.width, (weft,) * pattern.height)
 
+    def _face_masks(self, k: int) -> tuple[int, list[int]]:
+        """Column mask of the warps whose face k is black, and per weft
+        a full row mask when its face k is black, else 0."""
+        full = (1 << self.pattern.width) - 1
+        warp = sum(1 << i for i, f in enumerate(self.warp_faces) if f[k] == "B")
+        return warp, [full if f[k] == "B" else 0 for f in self.weft_faces]
+
     def render_front(self) -> Design:
         """Colour seen from the front: the front face of whichever
         strand is on top."""
-        w, h = self.pattern.width, self.pattern.height
-        rows = []
-        for j in range(h):
-            bits = 0
-            for i in range(w):
-                face = (self.weft_faces[j] if self.pattern.cell(i, j)
-                        else self.warp_faces[i])
-                if face[0] == "B":
-                    bits |= 1 << i
-            rows.append(bits)
-        return Design(w, h, tuple(rows))
+        p = self.pattern
+        warp, wefts = self._face_masks(0)
+        return Design(p.width, p.height, tuple(
+            (r & weft) | (~r & warp) for r, weft in zip(p.rows, wefts)))
 
     def render_back(self) -> Design:
         """Colour seen after turning the fabric over about a vertical
         axis: the back face of the strand underneath, with the x axis
         reversed."""
-        w, h = self.pattern.width, self.pattern.height
-        rows = []
-        for j in range(h):
-            bits = 0
-            for i in range(w):
-                ii = w - 1 - i
-                face = (self.warp_faces[ii] if self.pattern.cell(ii, j)
-                        else self.weft_faces[j])
-                if face[1] == "B":
-                    bits |= 1 << i
-            rows.append(bits)
-        return Design(w, h, tuple(rows))
+        p = self.pattern
+        warp, wefts = self._face_masks(1)
+        return Design(p.width, p.height, tuple(
+            reverse_row((~r & weft) | (r & warp), p.width)
+            for r, weft in zip(p.rows, wefts)))
 
 
 def gen_twill(over: int, under: int, shift: int = 1,
               rows: int | None = None) -> Design:
     """Over/under twill pattern: weft j covers warps with
-    (i - shift*j) mod (over+under) < over."""
+    (i - shift*j) mod (over+under) < over, so each row is the row
+    before it rotated by `shift`."""
     if over < 1 or under < 1:
         raise ValueError("twill needs at least one over and one under")
     p = over + under
@@ -99,14 +93,8 @@ def gen_twill(over: int, under: int, shift: int = 1,
         rows = 1
         while (shift * rows) % p:
             rows += 1
-    out = []
-    for j in range(rows):
-        bits = 0
-        for i in range(p):
-            if (i - shift * j) % p < over:
-                bits |= 1 << i
-        out.append(bits)
-    return Design(p, rows, tuple(out))
+    base, mask = (1 << over) - 1, (1 << p) - 1
+    return Design(p, rows, tuple(rotl(base, shift * j, p, mask) for j in range(rows)))
 
 
 def striped_faces(count: int, stripe: int, phase: int = 0,

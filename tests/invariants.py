@@ -24,7 +24,7 @@ def _sign(chi):
 
 
 def check_identity_record(cls):
-    first = cls.elements[0]
+    first = cls.analysis.elements[0]
     assert first.iso.op.name == "identity" and first.iso.t == (0, 0)
     assert first.chi == "preserve" and first.side == "S1"
 
@@ -49,27 +49,27 @@ def check_closure(cls, rng, samples=20):
 
 
 def check_side_index(cls):
-    n1 = sum(1 for el in cls.elements if el.side == "S1")
-    n2 = sum(1 for el in cls.elements if el.side == "S2")
+    n1 = sum(1 for el in cls.analysis.elements if el.side == "S1")
+    n2 = sum(1 for el in cls.analysis.elements if el.side == "S2")
     assert n2 == 0 or n2 == n1, (n1, n2)
 
 
 def check_complement_invariance(design, cls):
     other = classify(design.complemented())
-    assert other.lattice == cls.lattice
-    assert other.swap_rep == cls.swap_rep
+    assert other.analysis.lattice == cls.analysis.lattice
+    assert other.analysis.swap_rep == cls.analysis.swap_rep
     assert other.pair_descriptor == cls.pair_descriptor
     assert other.layer_symbol == cls.layer_symbol
-    mine = {(el.iso.op.name, el.iso.t): el.chi for el in cls.elements}
-    theirs = {(el.iso.op.name, el.iso.t): el.chi for el in other.elements}
+    mine = {(el.iso.op.name, el.iso.t): el.chi for el in cls.analysis.elements}
+    theirs = {(el.iso.op.name, el.iso.t): el.chi for el in other.analysis.elements}
     assert mine == theirs
 
 
 def check_doubling_invariance(design, cls):
     for nx, ny in ((2, 1), (1, 2), (2, 2)):
         other = classify(design.tiled(nx, ny))
-        assert other.lattice == cls.lattice, (nx, ny)
-        assert other.swap_rep == cls.swap_rep, (nx, ny)
+        assert other.analysis.lattice == cls.analysis.lattice, (nx, ny)
+        assert other.analysis.swap_rep == cls.analysis.swap_rep, (nx, ny)
         assert other.pair_descriptor == cls.pair_descriptor, (nx, ny)
         assert other.layer_symbol == cls.layer_symbol, (nx, ny)
 
@@ -78,8 +78,8 @@ def check_conjugation_covariance(design, cls, rng, samples=4):
     """Re-gridding the design by a point operation conjugates the group:
     the named classification is unchanged and each conjugated isometry
     keeps its colour action."""
-    isos = [el.iso for el in cls.elements]
-    chis = {el.iso: el.chi for el in cls.elements}
+    isos = [el.iso for el in cls.analysis.elements]
+    chis = {el.iso: el.chi for el in cls.analysis.elements}
     for op in POINT_OPS:
         moved = design.transformed(op)
         grid = grid_of(moved)
@@ -97,11 +97,11 @@ def check_conjugation_covariance(design, cls, rng, samples=4):
 
 
 def check_lift_count(cls):
-    assert len(cls.inventory) == len(cls.elements) - 1
+    assert len(cls.inventory) == len(cls.analysis.elements) - 1
 
 
 def check_inversion_coordinates(cls):
-    want = sorted(tuple(el.element["center2"]) for el in cls.elements
+    want = sorted(tuple(el.element["center2"]) for el in cls.analysis.elements
                   if el.element["kind"] == "rotation2" and el.side == "S2")
     got = sorted(tuple(item["center2"]) for item in cls.inventory
                  if item["kind"] == "inversion-center")

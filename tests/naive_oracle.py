@@ -82,3 +82,49 @@ def naive_chi_table(design):
             for tx in range(w):
                 table[(name, tx, ty)] = naive_color_action(grid, w, h, mat, (tx, ty))
     return table
+
+
+def naive_render_front(struct):
+    """Rows of the front view, cell by cell: the front face of whichever
+    strand is on top."""
+    p = struct.pattern
+    rows = []
+    for j in range(p.height):
+        bits = 0
+        for i in range(p.width):
+            face = struct.weft_faces[j] if p.cell(i, j) else struct.warp_faces[i]
+            if face[0] == "B":
+                bits |= 1 << i
+        rows.append(bits)
+    return tuple(rows)
+
+
+def naive_render_back(struct):
+    """Rows of the back view, cell by cell: the back face of the strand
+    underneath, with the x axis reversed."""
+    p = struct.pattern
+    w = p.width
+    rows = []
+    for j in range(p.height):
+        bits = 0
+        for i in range(w):
+            ii = w - 1 - i
+            face = struct.warp_faces[ii] if p.cell(ii, j) else struct.weft_faces[j]
+            if face[1] == "B":
+                bits |= 1 << i
+        rows.append(bits)
+    return tuple(rows)
+
+
+def naive_twill_rows(over, under, shift, rows):
+    """Twill rows, cell by cell: weft j covers warp i when
+    (i - shift*j) mod (over+under) < over."""
+    p = over + under
+    out = []
+    for j in range(rows):
+        bits = 0
+        for i in range(p):
+            if (i - shift * j) % p < over:
+                bits |= 1 << i
+        out.append(bits)
+    return tuple(out)

@@ -52,9 +52,9 @@ def test_criterion_2_reference_design_classification():
     cls = classify(ref.design)
     assert cls.pair_descriptor == "(c2mm, c1m1)"
     assert cls.layer_symbol == "c2/m11"
-    horiz = [el for el in cls.elements if el.iso.op.name == "mirror_x"]
-    vert = [el for el in cls.elements if el.iso.op.name == "mirror_y"]
-    turns = [el for el in cls.elements if el.iso.op.name == "rot180"]
+    horiz = [el for el in cls.analysis.elements if el.iso.op.name == "mirror_x"]
+    vert = [el for el in cls.analysis.elements if el.iso.op.name == "mirror_y"]
+    turns = [el for el in cls.analysis.elements if el.iso.op.name == "rot180"]
     assert horiz and all(el.side == "S1" for el in horiz)
     assert vert and all(el.side == "S2" for el in vert)
     assert turns and all(el.side == "S2" for el in turns)

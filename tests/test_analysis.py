@@ -6,13 +6,12 @@ from weavesym import analysis
 from weavesym.analysis import (
     PRESERVE,
     SWAP,
-    _rotl,
     _translation_action,
     color_group,
     parallel_coeff,
     translation_lattices,
 )
-from weavesym.design import Design
+from weavesym.design import Design, rotl
 from weavesym.isometry import (
     MIRROR_ANTI,
     MIRROR_DIAG,
@@ -155,7 +154,7 @@ def periodic_motifs(rng, count):
         w = tiled.width
         shear = rng.randrange(w)
         yield Design(w, tiled.height, tuple(
-            _rotl(r, shear * (j // mh), w, (1 << w) - 1)
+            rotl(r, shear * (j // mh), w, (1 << w) - 1)
             for j, r in enumerate(tiled.rows)))
 
 

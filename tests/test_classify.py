@@ -14,7 +14,7 @@ def test_twill_classification():
     assert cls.pair_descriptor == "(p2mg, p2gg)"
     assert cls.layer_symbol == "pbab"
     assert not cls.provisional
-    assert not cls.s2_empty
+    assert not cls.analysis.s2_empty
 
 
 def test_reference_classification():
@@ -34,7 +34,7 @@ def test_checkerboard_is_provisional():
 def test_s2_empty_descriptor():
     # axis-aligned mirrors only; every element preserves colour and side
     cls = classify(Design.from_strings(["#..", "...", "#.."]))
-    assert cls.s2_empty
+    assert cls.analysis.s2_empty
     assert cls.plane_group_s == "p2mm"
     assert cls.pair_descriptor == "(p2mm, -)"
     assert cls.plane_group_s == cls.plane_group_s1
@@ -78,7 +78,7 @@ def test_json_swap_rep_null_when_absent():
 def test_inventory_excludes_identity():
     for design in (TWILL, CHECKER, REFERENCE):
         cls = classify(design)
-        assert len(cls.inventory) == len(cls.elements) - 1
+        assert len(cls.inventory) == len(cls.analysis.elements) - 1
         assert all(item["kind"] != "identity" for item in cls.inventory)
 
 

@@ -171,7 +171,15 @@ def test_catalog_wrong_expectation_exits_1(tmp_path, capsys):
         {**TWILL_ENTRY, "design": {**TWILL_ENTRY["design"],
                                    "rows": ["##..", ".##", "..##", "#..#"]}}]},
      "row 1 has 3 cells"),
-], ids=["no-design", "no-id", "no-entries", "top-level-list", "ragged-row"])
+    ({"version": 1, "entries": [
+        {**TWILL_ENTRY, "design": {**TWILL_ENTRY["design"], "rows": [1, 2]}}]},
+     "entry x-01 design: row 0 is not a string"),
+    ({"version": 1, "entries": [{**TWILL_ENTRY, "id": ["a"]}]},
+     "entry #0: key 'id' must be a string"),
+    ({"version": 1, "entries": [{**TWILL_ENTRY, "hasGlide": "no"}]},
+     "entry x-01: key 'hasGlide' must be true or false"),
+], ids=["no-design", "no-id", "no-entries", "top-level-list", "ragged-row",
+        "int-rows", "list-id", "string-bool"])
 def test_catalog_bad_manifest_exits_2(tmp_path, capsys, manifest, message):
     assert verify_manifest(tmp_path, json.dumps(manifest)) == 2
     captured = capsys.readouterr()

@@ -62,8 +62,6 @@ def test_cell_is_periodic():
 
 def test_black_count_and_balance():
     assert TWILL.black_count == 8
-    assert TWILL.is_balanced
-    assert not Design.from_strings(["#.", "##"]).is_balanced
 
 
 def test_complemented():
@@ -115,15 +113,6 @@ def test_transformed_transposes_block():
     assert TWILL.transformed(R90).width == TWILL.height
     assert TWILL.transformed(MIRROR_X).width == TWILL.width
     assert TWILL.transformed(MIRROR_DIAG).height == TWILL.width
-
-
-def test_translated():
-    d = Design.from_strings(["#..", ".#.", "..#"])
-    e = d.translated(1, 1)
-    for j in range(3):
-        for i in range(3):
-            assert e.cell(i + 1, j + 1) == d.cell(i + 1 - 1, j + 1 - 1)
-    assert d.translated(3, 3) == d
 
 
 def test_validation():

@@ -4,10 +4,10 @@ import xml.etree.ElementTree as ET
 import reference_diagrams as ref
 
 from weavesym import diagrams
-from weavesym.analysis import _rotl, color_group
+from weavesym.analysis import color_group
 from weavesym.catalog import load_manifest
 from weavesym.classify import classify
-from weavesym.design import Design
+from weavesym.design import Design, rotl
 from weavesym.diagrams import color_diagram_svg, design_svg, layer_diagram_svg
 from weavesym.weave import gen_twill
 
@@ -169,7 +169,7 @@ def sheared_motifs(rng, count):
         w = tiled.width
         shear = rng.randrange(w)
         yield Design(w, tiled.height, tuple(
-            _rotl(r, shear * (j // mh), w, (1 << w) - 1)
+            rotl(r, shear * (j // mh), w, (1 << w) - 1)
             for j, r in enumerate(tiled.rows)))
 
 

@@ -122,7 +122,7 @@ def test_lift_kind_table():
 
 def test_lift_element_keeps_geometry():
     cls = classify(TWILL)
-    for el in cls.elements:
+    for el in cls.analysis.elements:
         lifted = lift_element(el)
         if el.element["kind"] == "identity":
             assert lifted is None

@@ -93,7 +93,9 @@ def test_iter_candidates_matches_generate_then_filter():
 
 def test_canonical_key_identifies_copies():
     d = Design.from_strings(["##..", ".##.", "..##", "#..#"])
-    assert canonical_key(d) == canonical_key(d.translated(2, 1))
+    # d with old cell (i, j) moved to (i + 2, j + 1)
+    shifted = Design.from_strings([".##.", "..##", "#..#", "##.."])
+    assert canonical_key(d) == canonical_key(shifted)
     assert canonical_key(d) == canonical_key(d.transformed(R90))
     assert canonical_key(d) == canonical_key(d.transformed(MIRROR_DIAG))
     other = Design.from_strings(["##..", "#.#.", "..##", ".#.#"])
@@ -120,7 +122,7 @@ def test_search_empty_s2_target():
     results = search(parse_pair_target("p1,-"), max_block=(4, 4), limit=2)
     assert len(results) == 2
     for _, cls in results:
-        assert cls.s2_empty
+        assert cls.analysis.s2_empty
         assert cls.plane_group_s == "p1"
 
 

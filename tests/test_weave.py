@@ -1,6 +1,8 @@
 import random
+from itertools import product
 
 import pytest
+from naive_oracle import naive_render_back, naive_render_front, naive_twill_rows
 
 from weavesym.design import Design, DesignFormatError
 from weavesym.weave import (
@@ -42,6 +44,15 @@ def test_gen_twill_rejects_bad_counts():
         gen_twill(0, 2)
     with pytest.raises(ValueError):
         gen_twill(2, 0)
+
+
+def test_gen_twill_matches_cell_reference():
+    for over in range(1, 7):
+        for under in range(1, 7):
+            for shift in range(-7, 8):
+                t = gen_twill(over, under, shift)
+                assert t.rows == naive_twill_rows(over, under, shift, t.height), (
+                    over, under, shift)
 
 
 def test_gen_twill_row_structure():
@@ -91,6 +102,32 @@ def test_onesided_back_is_horizontal_mirror_of_front():
         for j in range(h):
             for i in range(w):
                 assert back.cell(i, j) == front.cell(w - 1 - i, j)
+
+
+def assert_renders_match_reference(s):
+    assert s.render_front().rows == naive_render_front(s), s
+    assert s.render_back().rows == naive_render_back(s), s
+
+
+def test_renders_match_cell_reference_on_small_patterns():
+    faces = ("BB", "BW", "WB", "WW")
+    count = 0
+    for w in range(1, 5):
+        for h in range(1, 4 // w + 1):
+            mask = (1 << w) - 1
+            for bits in range(1 << (w * h)):
+                pattern = Design(w, h, tuple((bits >> (j * w)) & mask for j in range(h)))
+                for warp in product(faces, repeat=w):
+                    for weft in product(faces, repeat=h):
+                        assert_renders_match_reference(WeaveStructure(pattern, warp, weft))
+                        count += 1
+    assert count == 41504
+
+
+def test_renders_match_cell_reference_on_random_structures():
+    rng = random.Random(6)
+    for _ in range(300):
+        assert_renders_match_reference(random_structure(rng, max_side=12))
 
 
 def test_basket_front_is_the_pattern():
