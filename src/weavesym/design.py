@@ -68,6 +68,8 @@ class Design:
     def from_strings(cls, lines) -> "Design":
         """Design from equal-length strings of '#' (black) and '.'
         (white); anything else raises ValueError."""
+        if isinstance(lines, str):
+            raise ValueError("rows must be a list of strings, not one string")
         if not lines:
             raise ValueError("a design needs at least one row")
         rows = []

@@ -116,15 +116,14 @@ PLANE_GROUPS = (
     "p2mm", "p2mg", "p2gg", "c2mm", "p4", "p4mm", "p4gm",
 )
 
-POINT_ORDER = {
-    "p1": 1, "p211": 2, "p1m1": 2, "p1g1": 2, "c1m1": 2,
-    "p2mm": 4, "p2mg": 4, "p2gg": 4, "c2mm": 4, "p4": 4,
-    "p4mm": 8, "p4gm": 8,
-}
 
-HAS_ROT2 = {"p211", "p2mm", "p2mg", "p2gg", "c2mm", "p4", "p4mm", "p4gm"}
-HAS_ROT4 = {"p4", "p4mm", "p4gm"}
-HAS_REFL = {"p1m1", "p1g1", "c1m1", "p2mm", "p2mg", "p2gg", "c2mm", "p4mm", "p4gm"}
+def point_group(symbol: str) -> tuple[int, bool]:
+    """(n, refl) of a plane-group symbol: the highest rotation order,
+    its digit, and whether it has reflections, an 'm' or a 'g'
+    (International Tables for Crystallography, Vol. A).  The point
+    order is n * (1 + refl)."""
+    return int(symbol[1]), "m" in symbol or "g" in symbol
+
 
 _PLANE_ALIASES = {
     "p2": "p211", "pm": "p1m1", "pg": "p1g1", "cm": "c1m1",
@@ -144,22 +143,15 @@ def validate_pair(s: str, s1: str) -> None:
     """Reject pairs that cannot be an index-1-or-2 side split."""
     if s1 == "-":
         return
-    order_s, order_s1 = POINT_ORDER[s], POINT_ORDER[s1]
-    ok = (
-        order_s in (order_s1, 2 * order_s1)
-        and (s1 not in HAS_ROT2 or s in HAS_ROT2)
-        and (s1 not in HAS_ROT4 or s in HAS_ROT4)
-        and (s1 not in HAS_REFL or s in HAS_REFL)
-    )
-    # when the point order halves, both groups share one lattice, so a
-    # centred group only admits centred-lattice subgroups and vice versa
+    (n, refl), (n1, refl1) = point_group(s), point_group(s1)
+    order_s, order_s1 = n * (1 + refl), n1 * (1 + refl1)
+    ok = order_s in (order_s1, 2 * order_s1) and n % n1 == 0 and refl >= refl1
+    # when the point order halves, both groups share one lattice: a
+    # centred S keeps its centring in S1 unless S1 has no reflections,
+    # and a primitive S only has primitive S1
     if ok and order_s == 2 * order_s1 and order_s <= 4:
-        if s == "c2mm":
-            ok = s1 in ("c1m1", "p211")
-        elif s == "c1m1":
-            ok = s1 == "p1"
-        elif s1 == "c1m1":
-            ok = False
+        centred, centred1 = s[0] == "c", s1[0] == "c"
+        ok = centred == centred1 or (centred and not refl1)
     if not ok:
         raise ValueError(
             f"S₁ must be a subgroup of S of index 1 or 2; ({s}, {s1}) is not")

@@ -1,19 +1,21 @@
 """Exhaustive search for designs realising a target symmetry pair.
 
-Candidates are enumerated by growing block area, keeping only designs
-whose exact rectangular periods equal the block (smaller patterns were
-already seen on their own block) and, per translation class, only
-designs whose first row is at or above every rotation of every row.
-Each candidate is tested against the target one point op at a time
-and dropped at the first contradiction; only the survivors are fully
-classified.  Matches are deduplicated up to grid point operations and
-translations.
+Candidates are enumerated by growing block area, keeping, per
+translation class, only designs whose first row is at or above every
+rotation of every row.  Each candidate's translation lattice decides
+whether the block is exact (a design that repeats a smaller block was
+already seen on that block).  The lattice and the target's symbol then
+decide the candidate: it is tested against the target one point op at
+a time and dropped at the first contradiction; only the survivors are
+fully classified.  Matches are deduplicated up to grid point
+operations and translations.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import product
 
 from .analysis import _build_group, op_members, side_of, translation_lattices
 from .classify import Classification, classify_analysis
@@ -29,14 +31,11 @@ from .isometry import (
     R270,
 )
 from .naming import (
-    HAS_REFL,
-    HAS_ROT2,
-    HAS_ROT4,
-    POINT_ORDER,
     normalize_layer_name,
     normalize_plane_name,
     pair_for_layer,
     pair_table,
+    point_group,
     validate_pair,
 )
 
@@ -74,34 +73,6 @@ def parse_layer_target(text: str) -> SearchTarget:
     return SearchTarget(s, s1, layer)
 
 
-def _max_rotation(row: int, w: int, mask: int) -> int:
-    return max(rotl(row, s, w, mask) for s in range(w))
-
-
-def _proper_period(rows, w: int, h: int, mask: int) -> bool:
-    for p in {w // f for f in _prime_factors(w)}:
-        if all(rotl(r, p, w, mask) == r for r in rows):
-            return True
-    for q in {h // f for f in _prime_factors(h)}:
-        if all(rows[j] == rows[(j + q) % h] for j in range(h)):
-            return True
-    return False
-
-
-def _prime_factors(n: int):
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def iter_blocks(max_w: int, max_h: int, max_cells: int):
     sizes = [(w * h, w, h)
              for w in range(1, max_w + 1)
@@ -111,33 +82,30 @@ def iter_blocks(max_w: int, max_h: int, max_cells: int):
         yield w, h
 
 
-def _upper_rows(w: int, n: int, mask: int):
-    """Every choice of rows 1..n in increasing order (row n most
-    significant), each with the largest rotation among its rows."""
-    if n == 0:
-        yield (), 0
-        return
-    for rest, top in _upper_rows(w, n - 1, mask):
-        for r in range(1 << w):
-            yield (r, *rest), max(top, _max_rotation(r, w, mask))
-
-
 def iter_candidates(w: int, h: int):
-    """All designs on an exact w-by-h block, one per translation class
-    at least, in increasing order of the block read as one integer
-    (row h-1 most significant).
+    """(design, lattice, swap_rep) for every design on an exact w-by-h
+    block, one per translation class at least, in increasing order of
+    the block read as one integer (row h-1 most significant).
 
     Rows 1..h-1 run through every value; the first row then takes only
     the rotation-maximal values at or above every rotation of the other
-    rows, so each translation class keeps at least one survivor.
+    rows, so each translation class keeps at least one survivor.  The
+    preserve lattice holds (w, 0) and (0, h), so the block is exact
+    unless its shortest translation along an axis is shorter than the
+    block.
     """
     mask = (1 << w) - 1
-    firsts = [r for r in range(1 << w) if r == _max_rotation(r, w, mask)]
-    for upper, top in _upper_rows(w, h - 1, mask):
+    tops = [max(rotl(r, s, w, mask) for s in range(w)) for r in range(1 << w)]
+    firsts = [r for r in range(1 << w) if r == tops[r]]
+    for upper in product(range(1 << w), repeat=h - 1):
+        upper = upper[::-1]   # row 1 varies fastest, row h-1 slowest
+        top = max((tops[r] for r in upper), default=0)
         for r0 in firsts[bisect_left(firsts, top):]:
-            rows = (r0, *upper)
-            if not _proper_period(rows, w, h, mask):
-                yield Design(w, h, rows)
+            design = Design(w, h, (r0, *upper))
+            lat, swap_rep = translation_lattices(design)
+            if lat.a < w or lat.min_along((0, 1)) < h:
+                continue
+            yield design, lat, swap_rep
 
 
 def canonical_key(design: Design):
@@ -175,21 +143,25 @@ def prefilter(target: SearchTarget):
     """Predicate on (design, lattice, swap_rep) that is False only when
     the design's colour group cannot give the target pair.
 
-    Point ops are tested one at a time, and the predicate stops at the
-    first that contradicts a necessary condition: the half-turn and the
-    quarter-turn present exactly when S has them, the half-turn on the
-    S1 side exactly when S1 has it, a mirror present exactly when S has
-    reflections, no more ops in S or S1 than their point orders allow,
-    and no S2 member when the target wants S2 empty.
+    It first asks for colour-exchanging translations exactly when S1 is
+    given and has the point order of S.  Point ops are then tested one
+    at a time, and the predicate stops at the first that contradicts a
+    necessary condition: the half-turn and the quarter-turn present
+    exactly when S has them, the half-turn on the S1 side exactly when
+    S1 has it, a mirror present exactly when S has reflections, no more
+    ops in S or S1 than their point orders allow, and no S2 member when
+    the target wants S2 empty.
     """
-    s = target.s
-    s1 = s if target.s1 == "-" else target.s1
-    rot2, rot2_s1, rot4 = s in HAS_ROT2, s1 in HAS_ROT2, s in HAS_ROT4
-    refl = s in HAS_REFL
-    order, order_s1 = POINT_ORDER[s], POINT_ORDER[s1]
     s2_empty = target.s1 == "-"
+    n, refl = point_group(target.s)
+    n1, refl1 = point_group(target.s if s2_empty else target.s1)
+    rot2, rot2_s1, rot4 = n % 2 == 0, n1 % 2 == 0, n == 4
+    order, order_s1 = n * (1 + refl), n1 * (1 + refl1)
+    swap = not s2_empty and order == order_s1
 
     def admits(design: Design, lat, swap_rep) -> bool:
+        if (swap_rep is not None) != swap:
+            return False
         per_op = 1 if swap_rep is None else 2
         n_ops = n_s1_ops = 1   # the identity
         mirrors = 0
@@ -228,22 +200,11 @@ def search(target: SearchTarget, max_block=(12, 12), limit: int | None = 1,
         raise ValueError(f"limit must be at least 1, got {limit}")
     if not 1 <= max_cells <= MAX_CELLS:
         raise ValueError(f"max_cells must be between 1 and {MAX_CELLS}, got {max_cells}")
-    order_s = POINT_ORDER[target.s]
-    if target.s1 == "-":
-        swap_required, swap_forbidden = False, True
-    else:
-        swap_required = order_s == POINT_ORDER[target.s1]
-        swap_forbidden = not swap_required
     admits = prefilter(target)
     results = []
     seen = set()
     for w, h in iter_blocks(max_block[0], max_block[1], max_cells):
-        for design in iter_candidates(w, h):
-            lat, swap_rep = translation_lattices(design)
-            if swap_required and swap_rep is None:
-                continue
-            if swap_forbidden and swap_rep is not None:
-                continue
+        for design, lat, swap_rep in iter_candidates(w, h):
             if not admits(design, lat, swap_rep):
                 continue
             cls = classify_analysis(_build_group(design, lat, swap_rep))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from math import gcd
 
 from .design import Design, DesignFormatError, content_lines, parse_block, reverse_row, rotl
 
@@ -24,6 +25,10 @@ ONESIDED_WARP = "BW"
 ONESIDED_WEFT = "WB"
 BASKET_WARP = "WW"
 BASKET_WEFT = "BB"
+
+# Largest twill `gen_twill` builds, in cells (a 2000x2000 twill fits;
+# --over 100000 would otherwise ask for about 10^10 cells).
+MAX_TWILL_CELLS = 1 << 22
 
 
 def _check_faces(faces, count, label):
@@ -90,9 +95,9 @@ def gen_twill(over: int, under: int, shift: int = 1,
         raise ValueError("twill needs at least one over and one under")
     p = over + under
     if rows is None:
-        rows = 1
-        while (shift * rows) % p:
-            rows += 1
+        rows = p // gcd(shift, p)
+    if p * rows > MAX_TWILL_CELLS:
+        raise ValueError(f"a {p}x{rows} twill exceeds {MAX_TWILL_CELLS} cells")
     base, mask = (1 << over) - 1, (1 << p) - 1
     return Design(p, rows, tuple(rotl(base, shift * j, p, mask) for j in range(rows)))
 

@@ -74,6 +74,17 @@ def test_generate_rejects_bad_twill(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [
+    ["--over", "100000", "--under", "1"],
+    ["--over", "1000", "--under", "1000", "--rows", "5000"],
+])
+def test_generate_rejects_oversized_twill(extra, tmp_path, capsys):
+    out = tmp_path / "t.weave"
+    assert main(["generate", "twill", *extra, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_render_weave_front_and_back(tmp_path):
     struct_path = tmp_path / "s.weave"
     struct_path.write_text(format_structure(

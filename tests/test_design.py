@@ -27,6 +27,11 @@ def test_from_strings_rejects_empty():
         Design.from_strings([])
 
 
+def test_from_strings_rejects_a_plain_string():
+    with pytest.raises(ValueError, match="not one string"):
+        Design.from_strings("#.")
+
+
 def test_from_strings_rejects_ragged_rows():
     with pytest.raises(ValueError, match="row 1 has 1 cells, expected 2"):
         Design.from_strings(["#.", "#"])

@@ -4,6 +4,7 @@ from weavesym.analysis import color_group
 from weavesym.classify import classify
 from weavesym.design import Design
 from weavesym.naming import (
+    PLANE_GROUPS,
     group_records,
     layer_aliases,
     layer_symbol_for,
@@ -15,6 +16,7 @@ from weavesym.naming import (
     pair_descriptor,
     pair_for_layer,
     pair_table,
+    point_group,
     validate_pair,
 )
 from weavesym.weave import gen_twill
@@ -101,6 +103,62 @@ def test_validate_pair():
         validate_pair("p1", "p2mg")
     with pytest.raises(ValueError, match="subgroup"):
         validate_pair("c2mm", "p1")
+
+
+# Point-group facts as hand-kept tables, and the pair rule written on
+# them; `point_group` derives the same facts from the symbol itself.
+POINT_ORDER = {
+    "p1": 1, "p211": 2, "p1m1": 2, "p1g1": 2, "c1m1": 2,
+    "p2mm": 4, "p2mg": 4, "p2gg": 4, "c2mm": 4, "p4": 4,
+    "p4mm": 8, "p4gm": 8,
+}
+HAS_ROT2 = {"p211", "p2mm", "p2mg", "p2gg", "c2mm", "p4", "p4mm", "p4gm"}
+HAS_ROT4 = {"p4", "p4mm", "p4gm"}
+HAS_REFL = {"p1m1", "p1g1", "c1m1", "p2mm", "p2mg", "p2gg", "c2mm", "p4mm", "p4gm"}
+
+
+def _reference_pair_ok(s, s1):
+    if s1 == "-":
+        return True
+    order_s, order_s1 = POINT_ORDER[s], POINT_ORDER[s1]
+    ok = (
+        order_s in (order_s1, 2 * order_s1)
+        and (s1 not in HAS_ROT2 or s in HAS_ROT2)
+        and (s1 not in HAS_ROT4 or s in HAS_ROT4)
+        and (s1 not in HAS_REFL or s in HAS_REFL)
+    )
+    if ok and order_s == 2 * order_s1 and order_s <= 4:
+        if s == "c2mm":
+            ok = s1 in ("c1m1", "p211")
+        elif s == "c1m1":
+            ok = s1 == "p1"
+        elif s1 == "c1m1":
+            ok = False
+    return ok
+
+
+def test_point_group_matches_reference_tables():
+    assert set(POINT_ORDER) == set(PLANE_GROUPS)
+    for g in PLANE_GROUPS:
+        n, refl = point_group(g)
+        assert n * (1 + refl) == POINT_ORDER[g], g
+        assert (n % 2 == 0) == (g in HAS_ROT2), g
+        assert (n == 4) == (g in HAS_ROT4), g
+        assert refl == (g in HAS_REFL), g
+
+
+def test_validate_pair_matches_reference_rule():
+    accepted = 0
+    for s in PLANE_GROUPS:
+        for s1 in (*PLANE_GROUPS, "-"):
+            try:
+                validate_pair(s, s1)
+                ok = True
+            except ValueError:
+                ok = False
+            assert ok == _reference_pair_ok(s, s1), (s, s1)
+            accepted += ok
+    assert accepted == 70
 
 
 def test_pair_descriptor():

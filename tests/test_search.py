@@ -1,6 +1,6 @@
 import pytest
 
-from weavesym.analysis import _build_group, translation_lattices
+from weavesym.analysis import _build_group
 from weavesym.classify import classify, classify_analysis
 from weavesym.design import Design
 from weavesym.isometry import MIRROR_DIAG, R90
@@ -55,7 +55,7 @@ def test_iter_blocks_ordered_by_area():
 
 
 def test_iter_candidates_skips_translated_copies():
-    seen = {d.rows for d in iter_candidates(2, 2)}
+    seen = {d.rows for d, _, _ in iter_candidates(2, 2)}
     # a single black cell: only the class representative appears
     assert sum(1 for rows in seen
                if sum(r.bit_count() for r in rows) == 1) == 1
@@ -87,7 +87,7 @@ def _generate_then_filter(w, h):
 
 def test_iter_candidates_matches_generate_then_filter():
     for w, h in iter_blocks(12, 12, 12):
-        got = [d.rows for d in iter_candidates(w, h)]
+        got = [d.rows for d, _, _ in iter_candidates(w, h)]
         assert got == list(_generate_then_filter(w, h)), (w, h)
 
 
@@ -155,9 +155,8 @@ def test_prefilter_never_rejects_a_match():
     admits = [prefilter(t) for t in targets]
     designs = rejected = 0
     for w, h in iter_blocks(10, 10, 10):
-        for design in iter_candidates(w, h):
+        for design, lat, swap_rep in iter_candidates(w, h):
             designs += 1
-            lat, swap_rep = translation_lattices(design)
             cls = classify_analysis(_build_group(design, lat, swap_rep))
             for target, admit in zip(targets, admits):
                 if admit(design, lat, swap_rep):
@@ -167,6 +166,29 @@ def test_prefilter_never_rejects_a_match():
     assert designs == 1947
     # the prefilter does prune: most (design, target) pairs are rejected
     assert rejected > designs * len(targets) // 2
+
+
+def test_search_matches_an_unpruned_sweep():
+    """search() equals every bitmask filtered as in _generate_then_filter,
+    classified in full, matched, and kept on its first canonical key."""
+    designs = [Design(w, h, rows) for w, h in iter_blocks(12, 12, 8)
+               for rows in _generate_then_filter(w, h)]
+    classified = [(d, classify(d), canonical_key(d)) for d in designs]
+    found = 0
+    for target in _all_targets():
+        expected, seen = [], set()
+        for design, cls, key in classified:
+            if not matches(cls, target):
+                continue
+            if key not in seen:
+                seen.add(key)
+                expected.append((design.width, design.height, design.rows))
+        got = [(d.width, d.height, d.rows)
+               for d, _ in search(target, limit=None, max_cells=8)]
+        assert got == expected, target.describe()
+        found += bool(got)
+    # 12 of the 70 targets are realised within 8 cells
+    assert found == 12
 
 
 @pytest.mark.parametrize("kwargs", [

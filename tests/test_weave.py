@@ -55,6 +55,26 @@ def test_gen_twill_matches_cell_reference():
                     over, under, shift)
 
 
+def test_gen_twill_default_rows_close_one_period():
+    # reference: the least row count whose total shift is a multiple of
+    # over + under, found by counting up
+    for over in range(1, 7):
+        for under in range(1, 7):
+            p = over + under
+            for shift in range(-7, 8):
+                rows = 1
+                while (shift * rows) % p:
+                    rows += 1
+                assert gen_twill(over, under, shift).height == rows, (over, under, shift)
+
+
+def test_gen_twill_bounds_its_size():
+    t = gen_twill(1000, 1000)
+    assert (t.width, t.height) == (2000, 2000)
+    with pytest.raises(ValueError, match="exceeds"):
+        gen_twill(100_000, 1)
+
+
 def test_gen_twill_row_structure():
     t = gen_twill(3, 1, 1)
     for j in range(t.height):
