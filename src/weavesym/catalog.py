@@ -97,7 +97,7 @@ def load_manifest(path=None) -> list[CatalogEntry]:
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("manifest: expected a JSON object")
-    if obj.get("version") != 1:
+    if type(obj.get("version")) is not int or obj["version"] != 1:
         raise ValueError("unsupported manifest version")
     if not isinstance(obj.get("entries"), list):
         raise ValueError("manifest: missing key 'entries' (a list)")

@@ -140,36 +140,6 @@ def _axis_translates(lat: Lattice, name: str, t, w2: int, h2: int):
     return found.items()
 
 
-def _expand_glyphs(analysis: ColorGroupAnalysis, nx: int, ny: int):
-    """All glyphs inside the window, as half-unit geometry."""
-    d = analysis.design
-    lat = analysis.lattice
-    w2, h2 = 2 * d.width * nx, 2 * d.height * ny
-    glyphs = []
-    for el in analysis.elements:
-        kind = el.element["kind"]
-        if kind == "identity":
-            continue
-        if kind == "translation":
-            glyphs.append({"side": el.side, "shape": "vector",
-                           "kind": kind, "vector": tuple(el.element["vector"])})
-            continue
-        op, t = el.iso.op, el.iso.t
-        if kind in ("rotation2", "rotation4"):
-            glyphs.extend({"side": el.side, "shape": "point", "kind": kind, "center2": c2}
-                          for c2 in _rotation_centres(lat, op.name, t, w2, h2))
-        else:
-            u = AXIS_DIR[op.name]
-            m2 = 2 * lat.min_along(u)
-            for off2, tv in _axis_translates(lat, op.name, t, w2, h2):
-                r = parallel_coeff(op, tv) % m2
-                glyphs.append({"side": el.side, "shape": "line",
-                               "kind": "mirror" if r == 0 else "glide",
-                               "offset2": off2,
-                               "segment": _line_segment(u, off2, w2, h2)})
-    return glyphs, (w2, h2)
-
-
 def _px(v2: int) -> str:
     return str(v2 * HALF)
 
@@ -230,14 +200,24 @@ def _draw_cells(design, nx: int, ny: int) -> list[str]:
         *_element(1, "g", {"class": "design"}, cells)]
 
 
-def _draw_glyph(glyph, css: str, data_kind: str, color: str) -> str:
-    shape = glyph["shape"]
-    if shape == "line":
-        (x0, y0), (x1, y1) = glyph["segment"]
-        attrs = {"x1": _px(x0), "y1": _px(y0), "x2": _px(x1), "y2": _px(y1),
-                 "class": css, "data-kind": data_kind,
-                 "data-offset2": str(glyph["offset2"]),
-                 "stroke": color}
+def _glyph_line(kind: str, side: str, mode: str) -> str:
+    """The leaf of every glyph of one (kind, side) in `mode`, with
+    `str.format` fields where the geometry goes: a line takes its end
+    points in pixels and its half-unit offset, a point its half-unit
+    centre, that centre in pixels and the pixel corner of its square, a
+    vector its grid components and their pixel ends."""
+    if mode == "color":
+        css = {"rotation2": "rot2", "rotation4": "rot4"}.get(kind, kind)
+        data_kind, color = kind, RED if side == "S1" else BLUE
+    else:
+        data_kind = lift_kind(kind, side)
+        css, color = _LAYER_CLASS[data_kind], BLACK
+    # the constant parts are escaped here, once per line; the fields are
+    # filled with integers, which need no escaping
+    base = {"class": f"{css} {side.lower()}", "data-kind": data_kind}
+    if kind in ("mirror", "glide"):
+        attrs = {"x1": "{0}", "y1": "{1}", "x2": "{2}", "y2": "{3}", **base,
+                 "data-offset2": "{4}", "stroke": color}
         if data_kind in ("glide", "glide-plane-normal"):
             attrs["stroke-width"] = "1.6"
             attrs["stroke-dasharray"] = "7 4"
@@ -249,55 +229,61 @@ def _draw_glyph(glyph, css: str, data_kind: str, color: str) -> str:
         else:
             attrs["stroke-width"] = "2.5"
         return _leaf(2, "line", attrs)
-    if shape == "point":
-        cx, cy = glyph["center2"]
-        base = {"class": css, "data-kind": data_kind,
-                "data-x2": str(cx), "data-y2": str(cy)}
-        if data_kind in ("rotation4", "axis4-normal", "rotoinversion4-normal"):
-            return _leaf(2, "rect", {
-                "x": str(cx * HALF - 5), "y": str(cy * HALF - 5),
-                "width": "10", "height": "10",
-                "fill": "none" if data_kind == "rotoinversion4-normal" else color,
-                "stroke": color, "stroke-width": "1.5",
-                "transform": f"rotate(45 {cx * HALF} {cy * HALF})", **base})
-        if data_kind == "inversion-center":
-            return _leaf(2, "circle", {
-                "cx": _px(cx), "cy": _px(cy), "r": "4",
-                "fill": "#ffffff", "stroke": color, "stroke-width": "1.5",
-                **base})
-        return _leaf(2, "ellipse", {
-            "cx": _px(cx), "cy": _px(cy), "rx": "5.5", "ry": "3",
-            "fill": color, **base})
-    vx, vy = glyph["vector"]
-    return _leaf(2, "line", {
-        "x1": "0", "y1": "0", "x2": str(vx * CELL), "y2": str(vy * CELL),
-        "class": css, "data-kind": data_kind,
-        "data-vector": f"{vx},{vy}",
-        "stroke": color, "stroke-width": "3",
-        "stroke-dasharray": "4 3" if data_kind == "glide-plane-parallel" else "none",
-        "marker-end": "url(#arrow)"})
+    if kind == "translation":
+        return _leaf(2, "line", {
+            "x1": "0", "y1": "0", "x2": "{2}", "y2": "{3}", **base,
+            "data-vector": "{0},{1}",
+            "stroke": color, "stroke-width": "3",
+            "stroke-dasharray": "4 3" if data_kind == "glide-plane-parallel" else "none",
+            "marker-end": "url(#arrow)"})
+    base.update({"data-x2": "{0}", "data-y2": "{1}"})
+    if kind == "rotation4":
+        return _leaf(2, "rect", {
+            "x": "{4}", "y": "{5}", "width": "10", "height": "10",
+            "fill": "none" if data_kind == "rotoinversion4-normal" else color,
+            "stroke": color, "stroke-width": "1.5",
+            "transform": "rotate(45 {2} {3})", **base})
+    if data_kind == "inversion-center":
+        return _leaf(2, "circle", {
+            "cx": "{2}", "cy": "{3}", "r": "4",
+            "fill": "#ffffff", "stroke": color, "stroke-width": "1.5", **base})
+    return _leaf(2, "ellipse", {
+        "cx": "{2}", "cy": "{3}", "rx": "5.5", "ry": "3", "fill": color, **base})
 
 
 def _svg(analysis: ColorGroupAnalysis, repeats, mode: str) -> str:
+    """Every element's glyph line is built once and each of its loci in
+    the window formatted into it; lines, then vectors, then points."""
     nx, ny = repeats
-    glyphs, (w2, h2) = _expand_glyphs(analysis, nx, ny)
-    overlay = []
-    order = {"line": 0, "vector": 1, "point": 2}
-    for glyph in sorted(glyphs, key=lambda g: order[g["shape"]]):
-        side = glyph["side"]
-        if mode == "color":
-            short = {"rotation2": "rot2", "rotation4": "rot4"}.get(
-                glyph["kind"], glyph["kind"])
-            css = f"{short} {side.lower()}"
-            overlay.append(_draw_glyph(glyph, css, glyph["kind"],
-                                       RED if side == "S1" else BLUE))
-        else:
-            lifted = lift_kind(glyph["kind"], side)
-            css = f"{_LAYER_CLASS[lifted]} {side.lower()}"
-            overlay.append(_draw_glyph(glyph, css, lifted, BLACK))
+    d, lat = analysis.design, analysis.lattice
+    w2, h2 = 2 * d.width * nx, 2 * d.height * ny
+    lines, vectors, points = [], [], []
+    for el in analysis.elements:
+        kind = el.element["kind"]
+        if kind == "identity":
+            continue
+        if kind == "translation":
+            vx, vy = el.element["vector"]
+            vectors.append(_glyph_line(kind, el.side, mode).format(
+                vx, vy, vx * CELL, vy * CELL))
+            continue
+        op, t = el.iso.op, el.iso.t
+        if kind in ("rotation2", "rotation4"):
+            glyph = _glyph_line(kind, el.side, mode)
+            points.extend(
+                glyph.format(cx, cy, cx * HALF, cy * HALF, cx * HALF - 5, cy * HALF - 5)
+                for cx, cy in _rotation_centres(lat, op.name, t, w2, h2))
+            continue
+        u = AXIS_DIR[op.name]
+        m2 = 2 * lat.min_along(u)
+        mirror, glide = (_glyph_line(k, el.side, mode) for k in ("mirror", "glide"))
+        for off2, tv in _axis_translates(lat, op.name, t, w2, h2):
+            (x0, y0), (x1, y1) = _line_segment(u, off2, w2, h2)
+            glyph = glide if parallel_coeff(op, tv) % m2 else mirror
+            lines.append(glyph.format(x0 * HALF, y0 * HALF, x1 * HALF, y1 * HALF, off2))
     return _document(w2, h2, [
-        *_DEFS, *_draw_cells(analysis.design, nx, ny),
-        *_element(1, "g", {"class": f"{mode}-elements"}, overlay)])
+        *_DEFS, *_draw_cells(d, nx, ny),
+        *_element(1, "g", {"class": f"{mode}-elements"}, lines + vectors + points)])
 
 
 def color_diagram_svg(cls: Classification | ColorGroupAnalysis,

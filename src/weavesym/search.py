@@ -75,9 +75,8 @@ def parse_layer_target(text: str) -> SearchTarget:
 
 def iter_blocks(max_w: int, max_h: int, max_cells: int):
     sizes = [(w * h, w, h)
-             for w in range(1, max_w + 1)
-             for h in range(1, max_h + 1)
-             if w * h <= max_cells]
+             for w in range(1, min(max_w, max_cells) + 1)
+             for h in range(1, min(max_h, max_cells // w) + 1)]
     for _, w, h in sorted(sizes):
         yield w, h
 
@@ -126,12 +125,8 @@ def canonical_key(design: Design):
 
 
 def matches(cls: Classification, target: SearchTarget) -> bool:
-    if cls.plane_group_s != target.s:
-        return False
-    s1d = "-" if cls.analysis.s2_empty else cls.plane_group_s1
-    if s1d != target.s1:
-        return False
-    return target.layer is None or cls.layer_symbol == target.layer
+    # the layer symbol is looked up from the pair, so equal pairs agree on it
+    return cls.pair_descriptor == target.describe()
 
 
 # Point ops in the order the prefilter tests them: the half-turn and the

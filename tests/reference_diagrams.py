@@ -12,9 +12,28 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 
 from weavesym.analysis import axis_offset2, parallel_coeff
-from weavesym.diagrams import _LAYER_CLASS, BLACK, BLUE, CELL, HALF, RED
 from weavesym.isometry import AXIS_DIR
 from weavesym.naming import lift_kind
+
+# the renderer's sizes, colours and layer classes, copied rather than
+# imported so that a wrong value in `weavesym.diagrams` fails the check
+CELL = 24
+HALF = 12
+RED = "#c8281e"
+BLUE = "#1e50c8"
+BLACK = "#111111"
+_LAYER_CLASS = {
+    "translation": "translation",
+    "glide-plane-parallel": "glide-parallel",
+    "axis2-normal": "rot2",
+    "inversion-center": "inversion",
+    "axis4-normal": "rot4",
+    "rotoinversion4-normal": "rotoinv4",
+    "mirror-plane-normal": "mirror",
+    "axis2-inplane": "axis2-inplane",
+    "glide-plane-normal": "glide",
+    "screw2-inplane": "screw2",
+}
 
 
 def line_segment(u, off2, w2, h2):

@@ -198,6 +198,13 @@ def test_catalog_bad_manifest_exits_2(tmp_path, capsys, manifest, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("version", [True, 1.0], ids=["bool", "float"])
+def test_catalog_non_integer_version_exits_2(tmp_path, capsys, version):
+    manifest = {"version": version, "entries": [TWILL_ENTRY]}
+    assert verify_manifest(tmp_path, json.dumps(manifest)) == 2
+    assert "unsupported manifest version" in capsys.readouterr().err
+
+
 def test_catalog_unreadable_manifest_exits_2(tmp_path, capsys):
     assert verify_manifest(tmp_path, '{"version": 1, "entries": [') == 2
     assert main(["catalog", "verify", "--manifest", str(tmp_path / "none.json")]) == 2

@@ -124,6 +124,9 @@ REPEATS = ((1, 1), (2, 2), (3, 2))
 
 
 def assert_reference_svgs(analysis):
+    """Compare both diagrams with the reference; return the (kind, side)
+    pairs of the glyphs drawn."""
+    drawn = set()
     for repeats in REPEATS:
         glyphs, _ = ref.expand_glyphs(analysis, *repeats)
         where = (analysis.design, repeats)
@@ -131,17 +134,25 @@ def assert_reference_svgs(analysis):
             analysis, glyphs, repeats, "color"), where
         assert layer_diagram_svg(analysis, repeats) == ref.render(
             analysis, glyphs, repeats, "layer"), where
+        drawn.update((g["kind"], g["side"]) for g in glyphs)
+    return drawn
 
 
 def test_svg_matches_reference_on_small_blocks():
     count = 0
+    drawn = set()
     for w in range(1, 10):
         for h in range(1, 9 // w + 1):
             for bits in range(1 << (w * h)):
                 rows = tuple((bits >> (j * w)) & ((1 << w) - 1) for j in range(h))
-                assert_reference_svgs(color_group(Design(w, h, rows)))
+                drawn |= assert_reference_svgs(color_group(Design(w, h, rows)))
                 count += 1
     assert count == 3210
+    # every glyph style is compared in both modes; side-preserving
+    # translations are the lattice and are not drawn
+    assert drawn == {("translation", "S2")} | {
+        (kind, side) for kind in ("rotation2", "rotation4", "mirror", "glide")
+        for side in ("S1", "S2")}
 
 
 def test_svg_matches_reference_on_catalog():
@@ -202,7 +213,7 @@ def test_line_glyphs_cost_one_clip_each(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(diagrams, "_line_segment", counted)
-    glyphs, _ = diagrams._expand_glyphs(color_group(TWILL.tiled(8, 8)), 2, 2)
-    lines = sum(g["shape"] == "line" for g in glyphs)
+    svg = color_diagram_svg(color_group(TWILL.tiled(8, 8)), (2, 2))
+    lines = svg.count(" data-offset2=")
     assert lines == 382
     assert calls == lines

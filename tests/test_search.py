@@ -54,6 +54,11 @@ def test_iter_blocks_ordered_by_area():
     assert (3, 2) in blocks and (4, 2) in blocks and (3, 3) not in blocks
 
 
+def test_iter_blocks_bounded_by_max_cells():
+    # the block sides beyond max_cells are never visited
+    assert list(iter_blocks(10**9, 10**9, 16)) == list(iter_blocks(16, 16, 16))
+
+
 def test_iter_candidates_skips_translated_copies():
     seen = {d.rows for d, _, _ in iter_candidates(2, 2)}
     # a single black cell: only the class representative appears
