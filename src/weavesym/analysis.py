@@ -213,24 +213,24 @@ def _build_group(design: Design, lat: Lattice,
         iso = GridIsometry(IDENTITY, swap_rep)
         elements.append(
             GroupElement(iso, SWAP, side_of(SWAP, 1), locate_element(lat, iso)))
-    per_op = 1 if swap_rep is None else 2
     for op in POINT_OPS:
         if op is IDENTITY:
             continue
-        for t, chi in op_members(design, lat, per_op, op):
+        for t, chi in op_members(design, lat, swap_rep, op):
             iso = GridIsometry(op, t)
             elements.append(
                 GroupElement(iso, chi, side_of(chi, op.delta), locate_element(lat, iso)))
     return ColorGroupAnalysis(design, lat, swap_rep, tuple(elements))
 
 
-def op_members(design: Design, lat: Lattice, per_op: int,
+def op_members(design: Design, lat: Lattice, swap_rep: Vec | None,
                op: PointOp) -> list[tuple[Vec, str]]:
     """Translation parts and colour actions of the colour-group members
     with point part `op`, one per coset of `lat`.
 
-    `per_op` is the number of such cosets when `op` is present: 2 when
-    colour-exchanging translations exist, else 1.
+    When `op` is present it has one such coset, or two when there are
+    colour-exchanging translations (`swap_rep` is not None); the scan
+    stops once they are found.
     """
     # members of the colour group normalise the preserve lattice, so
     # ops that move it can be skipped outright; for the survivors a
@@ -248,6 +248,6 @@ def op_members(design: Design, lat: Lattice, per_op: int,
         if chi is None:
             continue
         found.append((t, chi))
-        if len(found) == per_op:
+        if len(found) == (1 if swap_rep is None else 2):
             break
     return found

@@ -94,7 +94,10 @@ def load_manifest(path=None) -> list[CatalogEntry]:
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("manifest: JSON nested too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError("manifest: expected a JSON object")
     if type(obj.get("version")) is not int or obj["version"] != 1:

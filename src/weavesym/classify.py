@@ -51,10 +51,9 @@ class Classification:
 
 
 def classify_analysis(analysis: ColorGroupAnalysis) -> Classification:
-    lat_s = analysis.full_lattice
-    oriented_s = oriented_plane_symbol(lat_s, group_records(analysis, lat_s))
+    oriented_s = oriented_plane_symbol(analysis.full_lattice, group_records(analysis))
     oriented_s1 = oriented_plane_symbol(
-        analysis.lattice, group_records(analysis, analysis.lattice, side="S1"))
+        analysis.lattice, group_records(analysis, side="S1"))
     s = canonical_symbol(oriented_s)
     s1 = canonical_symbol(oriented_s1)
     s2_empty = analysis.s2_empty

@@ -20,37 +20,21 @@ from .isometry import AXIS_DIR, Vec, op_by_name
 from .lattice import Lattice
 
 
-def group_records(analysis: ColorGroupAnalysis, lattice: Lattice,
+def group_records(analysis: ColorGroupAnalysis,
                   side: str | None = None) -> dict[str, list[Vec]]:
-    """Coset representatives modulo `lattice`, grouped by point op.
+    """Translation parts of the members as stored, grouped by point op;
+    with side="S1" only the side-preserving ones.
 
-    With side="S1" this describes the side-preserving subgroup over the
-    preserve lattice; with the full lattice of S it merges swap-related
-    cosets that coincide there.
+    `_family_char` reads a part t only as `parallel_coeff(op, t)` modulo
+    a g0 that divides the coefficient of each basis vector of the lattice
+    L it is given.  The coefficient is linear in t, so reducing t modulo
+    L, or dropping a repeated part, changes no residue and no op present.
     """
     reps: dict[str, list[Vec]] = {}
-    seen = set()
     for el in analysis.elements:
-        if side is not None and el.side != side:
-            continue
-        t = lattice.reduce(el.iso.t)
-        key = (el.iso.op.name, t)
-        if key in seen:
-            continue
-        seen.add(key)
-        reps.setdefault(el.iso.op.name, []).append(t)
+        if side is None or el.side == side:
+            reps.setdefault(el.iso.op.name, []).append(el.iso.t)
     return reps
-
-
-def _family_modulus(lat: Lattice, op) -> tuple[int, int]:
-    """Minimal axis translation m and the modulus g0 by which the glide
-    coefficient of one coset can change under lattice translates."""
-    u = AXIS_DIR[op.name]
-    m = lat.min_along(u)
-    g0 = 2 * m
-    for v in lat.basis:
-        g0 = gcd(g0, parallel_coeff(op, v))
-    return m, g0
 
 
 def _family_char(lat: Lattice, reps: dict[str, list[Vec]], op_names) -> str:
@@ -62,7 +46,10 @@ def _family_char(lat: Lattice, reps: dict[str, list[Vec]], op_names) -> str:
         if not ts:
             continue
         op = op_by_name(name)
-        _, g0 = _family_modulus(lat, op)
+        # the modulus by which the glide coefficient of one coset can
+        # change under lattice translates
+        g0 = gcd(2 * lat.min_along(AXIS_DIR[name]),
+                 *(parallel_coeff(op, v) for v in lat.basis))
         for t in ts:
             if parallel_coeff(op, t) % g0 == 0:
                 return "m"
@@ -173,29 +160,14 @@ def layer_symbol_for(s: str, s1: str, s2_empty: bool) -> str:
     return pair_table().get((s, "-" if s2_empty else s1), "unassigned")
 
 
-@lru_cache(maxsize=1)
-def layer_aliases() -> dict[str, str]:
-    """Accepted spellings of each layer symbol, including plain-ASCII
-    forms of the subscript-1 names."""
-    out = {}
-    for layer in pair_table().values():
-        out[layer] = layer
-        out[layer.replace("₁", "1")] = layer
-    return out
-
-
-def normalize_layer_name(name: str) -> str:
-    try:
-        return layer_aliases()[name.strip()]
-    except KeyError:
-        raise ValueError(f"unknown layer-group symbol {name.strip()!r}") from None
-
-
-def pair_for_layer(layer: str) -> tuple[str, str]:
-    for (s, s1), sym in pair_table().items():
-        if sym == layer:
-            return s, s1
-    raise ValueError(f"no tabulated pair produces layer group {layer!r}")
+def pair_for_layer(name: str) -> tuple[str, str]:
+    """The (S, S1) pair of a tabulated layer symbol, written as in the
+    table or with a plain 1 for each subscript one."""
+    name = name.strip()
+    for pair, layer in pair_table().items():
+        if name in (layer, layer.replace("₁", "1")):
+            return pair
+    raise ValueError(f"unknown layer-group symbol {name!r}")
 
 
 _LIFT = {

@@ -30,14 +30,7 @@ from .isometry import (
     R180,
     R270,
 )
-from .naming import (
-    normalize_layer_name,
-    normalize_plane_name,
-    pair_for_layer,
-    pair_table,
-    point_group,
-    validate_pair,
-)
+from .naming import normalize_plane_name, pair_for_layer, point_group, validate_pair
 
 # Exhausting all designs of a given area is exponential, so the sweep is
 # capped; every tabulated pair is realised well inside this bound.
@@ -50,8 +43,7 @@ MAX_CELLS = 20
 @dataclass(frozen=True)
 class SearchTarget:
     s: str
-    s1: str                  # "-" when S2 must be empty
-    layer: str | None = None  # expected layer symbol, when tabulated
+    s1: str    # "-" when S2 must be empty
 
     def describe(self) -> str:
         return f"({self.s}, {self.s1})"
@@ -64,13 +56,11 @@ def parse_pair_target(text: str) -> SearchTarget:
     s = normalize_plane_name(parts[0])
     s1 = parts[1] if parts[1] == "-" else normalize_plane_name(parts[1])
     validate_pair(s, s1)
-    return SearchTarget(s, s1, pair_table().get((s, s1)))
+    return SearchTarget(s, s1)
 
 
 def parse_layer_target(text: str) -> SearchTarget:
-    layer = normalize_layer_name(text)
-    s, s1 = pair_for_layer(layer)
-    return SearchTarget(s, s1, layer)
+    return SearchTarget(*pair_for_layer(text))
 
 
 def iter_blocks(max_w: int, max_h: int, max_cells: int):
@@ -157,12 +147,11 @@ def prefilter(target: SearchTarget):
     def admits(design: Design, lat, swap_rep) -> bool:
         if (swap_rep is not None) != swap:
             return False
-        per_op = 1 if swap_rep is None else 2
         n_ops = n_s1_ops = 1   # the identity
         mirrors = 0
         for op in _PREFILTER_OPS:
             sides = [side_of(chi, op.delta)
-                     for _, chi in op_members(design, lat, per_op, op)]
+                     for _, chi in op_members(design, lat, swap_rep, op)]
             in_s, in_s1 = bool(sides), "S1" in sides
             n_ops += in_s
             n_s1_ops += in_s1

@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from weavesym import analysis
 from weavesym.analysis import (
     PRESERVE,

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from weavesym.cli import main
-from weavesym.design import format_design, load_design
+from weavesym.design import format_design
 from weavesym.weave import format_structure, gen_twill, load_structure, WeaveStructure
 
 TWILL_TEXT = format_design(gen_twill(2, 2, 1))
@@ -209,6 +209,12 @@ def test_catalog_unreadable_manifest_exits_2(tmp_path, capsys):
     assert verify_manifest(tmp_path, '{"version": 1, "entries": [') == 2
     assert main(["catalog", "verify", "--manifest", str(tmp_path / "none.json")]) == 2
     assert capsys.readouterr().err.count("error:") == 2
+
+
+def test_catalog_deeply_nested_manifest_exits_2(tmp_path, capsys):
+    assert verify_manifest(tmp_path, "[" * 2000 + "]" * 2000) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "nested too deeply" in err
 
 
 def test_roundtrip_generate_render_analyze(tmp_path, capsys):

@@ -1,16 +1,19 @@
+import random
+
 import pytest
+from test_analysis import periodic_motifs
+from test_diagrams import sheared_motifs
 
 from weavesym.analysis import color_group
+from weavesym.catalog import load_manifest
 from weavesym.classify import classify
 from weavesym.design import Design
 from weavesym.naming import (
     PLANE_GROUPS,
     group_records,
-    layer_aliases,
     layer_symbol_for,
     lift_element,
     lift_kind,
-    normalize_layer_name,
     normalize_plane_name,
     oriented_plane_symbol,
     pair_descriptor,
@@ -43,10 +46,56 @@ def test_reference_symbols():
 def test_oriented_symbol_from_records():
     analysis = color_group(TWILL)
     full = analysis.full_lattice
-    reps = group_records(analysis, full)
+    reps = group_records(analysis)
     assert oriented_plane_symbol(full, reps) == "p2gm"
-    reps1 = group_records(analysis, analysis.lattice, side="S1")
+    reps1 = group_records(analysis, side="S1")
     assert oriented_plane_symbol(analysis.lattice, reps1) == "p2gg"
+
+
+def _reduced_records(analysis, lattice, side=None):
+    """Reference records: translation parts reduced modulo `lattice`
+    and de-duplicated per point op."""
+    reps = {}
+    seen = set()
+    for el in analysis.elements:
+        if side is not None and el.side != side:
+            continue
+        t = lattice.reduce(el.iso.t)
+        key = (el.iso.op.name, t)
+        if key in seen:
+            continue
+        seen.add(key)
+        reps.setdefault(el.iso.op.name, []).append(t)
+    return reps
+
+
+def _small_designs(max_cells):
+    for w in range(1, max_cells + 1):
+        for h in range(1, max_cells // w + 1):
+            for bits in range(1 << (w * h)):
+                yield Design(w, h, tuple((bits >> (j * w)) & ((1 << w) - 1)
+                                         for j in range(h)))
+
+
+def test_unreduced_records_name_as_reduced_ones():
+    rng = random.Random(20261018)
+    corpus = [*_small_designs(10), *(e.design for e in load_manifest()),
+              *periodic_motifs(rng, 200), *sheared_motifs(rng, 150)]
+    assert len(corpus) == 7306 + 44 + 350
+    swap = sheared = axial = diagonal = 0
+    for design in corpus:
+        analysis = color_group(design)
+        full, lat = analysis.full_lattice, analysis.lattice
+        assert (oriented_plane_symbol(full, group_records(analysis))
+                == oriented_plane_symbol(full, _reduced_records(analysis, full))), design
+        assert (oriented_plane_symbol(lat, group_records(analysis, side="S1"))
+                == oriented_plane_symbol(lat, _reduced_records(analysis, lat, "S1"))), design
+        ops = {el.iso.op.name for el in analysis.elements}
+        swap += analysis.swap_rep is not None
+        sheared += full.b != 0 or lat.b != 0
+        axial += bool(ops & {"mirror_x", "mirror_y"})
+        diagonal += bool(ops & {"mirror_diag", "mirror_anti"})
+    assert swap and sheared and axial and diagonal
 
 
 def test_pair_table_covers_fifteen_rows():
@@ -79,13 +128,12 @@ def test_normalize_plane_name():
         normalize_plane_name("p3m1")
 
 
-def test_normalize_layer_name_ascii_aliases():
-    aliases = layer_aliases()
-    assert aliases["p21/b11"] == "p2₁/b11"
-    assert normalize_layer_name("p21/b11") == "p2₁/b11"
-    assert normalize_layer_name("pbab") == "pbab"
-    with pytest.raises(ValueError):
-        normalize_layer_name("pxyz")
+def test_pair_for_layer_spellings():
+    assert pair_for_layer("p21/b11") == ("p2gg", "p1g1")
+    assert pair_for_layer("p2₁/b11") == ("p2gg", "p1g1")
+    assert pair_for_layer(" pbab ") == ("p2mg", "p2gg")
+    with pytest.raises(ValueError, match="unknown layer-group symbol"):
+        pair_for_layer("pxyz")
 
 
 def test_pair_for_layer():

@@ -4,7 +4,7 @@ from weavesym.analysis import _build_group
 from weavesym.classify import classify, classify_analysis
 from weavesym.design import Design
 from weavesym.isometry import MIRROR_DIAG, R90
-from weavesym.naming import PLANE_GROUPS, pair_table, validate_pair
+from weavesym.naming import PLANE_GROUPS, validate_pair
 from weavesym.search import (
     MAX_CELLS,
     SearchTarget,
@@ -21,13 +21,13 @@ from weavesym.search import (
 
 def test_parse_pair_target():
     t = parse_pair_target("p2mg,p2gg")
-    assert (t.s, t.s1, t.layer) == ("p2mg", "p2gg", "pbab")
+    assert (t.s, t.s1) == ("p2mg", "p2gg")
     t = parse_pair_target(" c2mm , - ")
-    assert (t.s, t.s1, t.layer) == ("c2mm", "-", "cmm2")
+    assert (t.s, t.s1) == ("c2mm", "-")
     t = parse_pair_target("pmg,pgg")
     assert (t.s, t.s1) == ("p2mg", "p2gg")
     t = parse_pair_target("p4m,p4g")
-    assert (t.s, t.s1, t.layer) == ("p4mm", "p4gm", None)
+    assert (t.s, t.s1) == ("p4mm", "p4gm")
 
 
 def test_parse_pair_target_rejects_non_subgroup():
@@ -41,7 +41,7 @@ def test_parse_pair_target_rejects_non_subgroup():
 
 def test_parse_layer_target():
     t = parse_layer_target("pbab")
-    assert (t.s, t.s1, t.layer) == ("p2mg", "p2gg", "pbab")
+    assert (t.s, t.s1) == ("p2mg", "p2gg")
     t = parse_layer_target("p21/b11")
     assert (t.s, t.s1) == ("p2gg", "p1g1")
 
@@ -150,7 +150,7 @@ def _all_targets():
                 validate_pair(s, s1)
             except ValueError:
                 continue
-            targets.append(SearchTarget(s, s1, pair_table().get((s, s1))))
+            targets.append(SearchTarget(s, s1))
     return targets
 
 

@@ -1,4 +1,5 @@
-"""The runtime imports nothing outside the standard library."""
+"""The runtime imports nothing outside the standard library, and
+nothing it does not use."""
 
 import ast
 import sys
@@ -24,3 +25,30 @@ def test_src_imports_only_the_standard_library():
                for lineno, name in _absolute_imports(path)
                if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def _unused_imports(path):
+    """Module-level imported names that the module never reads; names
+    listed in `__all__` count as read."""
+    tree = ast.parse(path.read_text("utf-8"), str(path))
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return [f"{path.name}:{lineno}: {name}"
+            for name, lineno in imported.items() if name not in used]
+
+
+def test_src_imports_only_what_it_uses():
+    paths = sorted(SRC.rglob("*.py"))
+    assert paths
+    assert [line for path in paths for line in _unused_imports(path)] == []
