@@ -187,15 +187,6 @@ class ColorGroupAnalysis:
     def s2_empty(self) -> bool:
         return all(el.side == "S1" for el in self.elements)
 
-    def chi_of(self, iso: GridIsometry) -> str | None:
-        """Colour behaviour of an arbitrary isometry, via the computed
-        group data."""
-        key = (iso.op.name, self.lattice.reduce(iso.t))
-        for el in self.elements:
-            if (el.iso.op.name, el.iso.t) == key:
-                return el.chi
-        return None
-
 
 def color_group(design: Design) -> ColorGroupAnalysis:
     """All colour-compatible isometries, one per coset of the
@@ -206,6 +197,10 @@ def color_group(design: Design) -> ColorGroupAnalysis:
 
 def _build_group(design: Design, lat: Lattice,
                  swap_rep: Vec | None) -> ColorGroupAnalysis:
+    # the design repeats on the a x c' rectangle spanned by (a, 0) and
+    # (0, c') in `lat`, so the point-op scans run on that period block
+    a, c = lat.a, lat.min_along((0, 1))
+    period = Design(a, c, design.pullback_rows(IDENTITY, a, c))
     elements = [
         GroupElement(GridIsometry(IDENTITY), PRESERVE, "S1", {"kind": "identity"})
     ]
@@ -216,7 +211,7 @@ def _build_group(design: Design, lat: Lattice,
     for op in POINT_OPS:
         if op is IDENTITY:
             continue
-        for t, chi in op_members(design, lat, swap_rep, op):
+        for t, chi in op_members(period, lat, swap_rep, op):
             iso = GridIsometry(op, t)
             elements.append(
                 GroupElement(iso, chi, side_of(chi, op.delta), locate_element(lat, iso)))
@@ -228,13 +223,16 @@ def op_members(design: Design, lat: Lattice, swap_rep: Vec | None,
     """Translation parts and colour actions of the colour-group members
     with point part `op`, one per coset of `lat`.
 
-    When `op` is present it has one such coset, or two when there are
-    colour-exchanging translations (`swap_rep` is not None); the scan
-    stops once they are found.
+    `design` may be any block of the design whose sides (w, 0) and
+    (0, h) lie in `lat`: `_build_group` passes the a x c' period block,
+    search its exact candidate blocks.  When `op` is present it has one
+    such coset, or two when there are colour-exchanging translations
+    (`swap_rep` is not None); the scan stops once they are found.
     """
     # members of the colour group normalise the preserve lattice, so
-    # ops that move it can be skipped outright; for the survivors a
-    # single-block comparison is sound
+    # ops that move it can be skipped outright; for the survivors the
+    # pull-back repeats on the block too, and one comparison on the
+    # block is sound
     if not all(lat.contains(op.apply(v)) for v in lat.basis):
         return []
     w, h, rows = design.width, design.height, design.rows

@@ -69,14 +69,6 @@ def op_by_name(name: str) -> PointOp:
     return _BY_NAME[name]
 
 
-def compose_ops(f: PointOp, g: PointOp) -> PointOp:
-    """Matrix product f*g, i.e. apply g first."""
-    (a, b), (c, d) = f.matrix
-    (p, q), (r, s) = g.matrix
-    m = ((a * p + b * r, a * q + b * s), (c * p + d * r, c * q + d * s))
-    return _BY_MATRIX[m]
-
-
 def invert_op(f: PointOp) -> PointOp:
     # the matrices are orthogonal, so the inverse is the transpose
     (a, b), (c, d) = f.matrix
@@ -89,27 +81,3 @@ class GridIsometry:
 
     op: PointOp
     t: Vec = (0, 0)
-
-    def apply_cell(self, cell: Vec) -> Vec:
-        """Image of a grid cell, computed through its centre.
-
-        The centre of cell (i, j) is (2i+1, 2j+1) in doubled
-        coordinates; point operations keep both coordinates odd, so the
-        result is again a cell centre.
-        """
-        x, y = self.op.apply((2 * cell[0] + 1, 2 * cell[1] + 1))
-        x += 2 * self.t[0]
-        y += 2 * self.t[1]
-        return ((x - 1) // 2, (y - 1) // 2)
-
-
-def compose(f: GridIsometry, g: GridIsometry) -> GridIsometry:
-    """f after g."""
-    tx, ty = f.op.apply(g.t)
-    return GridIsometry(compose_ops(f.op, g.op), (tx + f.t[0], ty + f.t[1]))
-
-
-def invert(f: GridIsometry) -> GridIsometry:
-    inv = invert_op(f.op)
-    tx, ty = inv.apply(f.t)
-    return GridIsometry(inv, (-tx, -ty))

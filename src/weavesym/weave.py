@@ -55,11 +55,6 @@ class WeaveStructure:
             self, "weft_faces",
             _check_faces(self.weft_faces, self.pattern.height, "weft"))
 
-    @classmethod
-    def uniform(cls, pattern: Design, warp: str = ONESIDED_WARP,
-                weft: str = ONESIDED_WEFT) -> "WeaveStructure":
-        return cls(pattern, (warp,) * pattern.width, (weft,) * pattern.height)
-
     def _face_masks(self, k: int) -> tuple[int, list[int]]:
         """Column mask of the warps whose face k is black, and per weft
         a full row mask when its face k is black, else 0."""

@@ -1,10 +1,11 @@
 """Invariant checkers shared by the property suite and the acceptance
 battery.  Each function raises AssertionError with context on failure."""
 
+from helpers import chi_of, compose, invert
 from naive_oracle import NAIVE_OPS, grid_of, naive_chi_table, naive_color_action
 
 from weavesym.classify import classify
-from weavesym.isometry import POINT_OPS, GridIsometry, compose, invert, op_by_name
+from weavesym.isometry import POINT_OPS, GridIsometry, op_by_name
 
 ALLOWED_INVENTORY_KINDS = {
     "glide-plane-parallel",
@@ -41,11 +42,11 @@ def check_closure(cls, rng, samples=20):
         m, n = rng.randint(-2, 2), rng.randint(-2, 2)
         shifted = GridIsometry(
             g.op, (g.t[0] + m * a[0] + n * b[0], g.t[1] + m * a[1] + n * b[1]))
-        assert analysis.chi_of(shifted) == chis[g], (f, g, m, n)
+        assert chi_of(analysis, shifted) == chis[g], (f, g, m, n)
         product = compose(f, shifted)
         want = "preserve" if _sign(chis[f]) * _sign(chis[g]) == 1 else "swap"
-        assert analysis.chi_of(product) == want, (f, g, m, n)
-        assert analysis.chi_of(invert(shifted)) == chis[g], (g, m, n)
+        assert chi_of(analysis, product) == want, (f, g, m, n)
+        assert chi_of(analysis, invert(shifted)) == chis[g], (g, m, n)
 
 
 def check_side_index(cls):
@@ -120,7 +121,7 @@ def check_against_naive(design):
     analysis = classify(design).analysis
     table = naive_chi_table(design)
     for (name, tx, ty), want in table.items():
-        got = analysis.chi_of(GridIsometry(op_by_name(name), (tx, ty)))
+        got = chi_of(analysis, GridIsometry(op_by_name(name), (tx, ty)))
         assert got == want, (design.rows, name, tx, ty, got, want)
 
 

@@ -7,6 +7,7 @@ a failure shows up as the usual pytest FAILED line for that criterion.
 import random
 import time
 
+from helpers import uniform
 from invariants import (
     check_against_naive,
     check_closure,
@@ -26,11 +27,7 @@ from weavesym.design import Design
 from weavesym.diagrams import color_diagram_svg, layer_diagram_svg
 from weavesym.naming import pair_table
 from weavesym.search import parse_pair_target, search
-from weavesym.weave import (
-    BASKET_WARP,
-    BASKET_WEFT,
-    WeaveStructure,
-)
+from weavesym.weave import BASKET_WARP, BASKET_WEFT
 
 
 def test_criterion_1_all_pairs_realised_within_budget():
@@ -117,12 +114,12 @@ def test_criterion_6_weave_face_rendering():
     for _ in range(50):
         w, h = rng.randint(1, 6), rng.randint(1, 6)
         pattern = Design(w, h, tuple(rng.randrange(1 << w) for _ in range(h)))
-        onesided = WeaveStructure.uniform(pattern)
+        onesided = uniform(pattern)
         front, back = onesided.render_front(), onesided.render_back()
         for j in range(h):
             for i in range(w):
                 assert back.cell(i, j) == front.cell(w - 1 - i, j)
-        basket = WeaveStructure.uniform(pattern, BASKET_WARP, BASKET_WEFT)
+        basket = uniform(pattern, BASKET_WARP, BASKET_WEFT)
         assert basket.render_front() == pattern
     print("PASS criterion 6: 50 structures render with mirrored backs and "
           "pattern-faithful basket fronts")

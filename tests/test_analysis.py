@@ -1,23 +1,33 @@
 import random
 
+from helpers import chi_of
+from test_diagrams import sheared_motifs
+
 from weavesym import analysis
 from weavesym.analysis import (
     PRESERVE,
     SWAP,
+    _shift_action,
     _translation_action,
     color_group,
+    locate_element,
     parallel_coeff,
+    side_of,
     translation_lattices,
 )
-from weavesym.design import Design, rotl
+from weavesym.catalog import load_manifest
+from weavesym.design import Design, reverse_row, rotl
 from weavesym.isometry import (
+    IDENTITY,
     MIRROR_ANTI,
     MIRROR_DIAG,
     MIRROR_X,
     MIRROR_Y,
+    POINT_OPS,
     R90,
     R180,
     GridIsometry,
+    invert_op,
     op_by_name,
 )
 from weavesym.lattice import Lattice
@@ -81,18 +91,18 @@ def test_color_action_direct():
     # the twill's quarter turns are not colour symmetries
     analysis = color_group(TWILL)
     for t in [(x, y) for x in range(4) for y in range(4)]:
-        assert analysis.chi_of(GridIsometry(R90, t)) is None
-    assert analysis.chi_of(GridIsometry(R180, (1, 0))) == "preserve"
-    assert analysis.chi_of(GridIsometry(R180, (3, 0))) == "swap"
-    assert analysis.chi_of(GridIsometry(MIRROR_ANTI, (0, 0))) == "preserve"
+        assert chi_of(analysis, GridIsometry(R90, t)) is None
+    assert chi_of(analysis, GridIsometry(R180, (1, 0))) == "preserve"
+    assert chi_of(analysis, GridIsometry(R180, (3, 0))) == "swap"
+    assert chi_of(analysis, GridIsometry(MIRROR_ANTI, (0, 0))) == "preserve"
 
 
 def test_color_action_translations():
     analysis = color_group(TWILL)
     identity = op_by_name("identity")
-    assert analysis.chi_of(GridIsometry(identity, (1, 1))) == "preserve"
-    assert analysis.chi_of(GridIsometry(identity, (2, 0))) == "swap"
-    assert analysis.chi_of(GridIsometry(identity, (1, 0))) is None
+    assert chi_of(analysis, GridIsometry(identity, (1, 1))) == "preserve"
+    assert chi_of(analysis, GridIsometry(identity, (2, 0))) == "swap"
+    assert chi_of(analysis, GridIsometry(identity, (1, 0))) is None
 
 
 def scan_lattices(design):
@@ -120,16 +130,22 @@ def basis_actions(design, lat, swap):
             _translation_action(design, full.b, full.c))
 
 
+def small_designs(max_cells):
+    """Every design of at most `max_cells` cells: each block shape, each
+    bitmask."""
+    for w in range(1, max_cells + 1):
+        for h in range(1, max_cells // w + 1):
+            for bits in range(1 << (w * h)):
+                yield Design(w, h, tuple((bits >> (j * w)) & ((1 << w) - 1)
+                                         for j in range(h)))
+
+
 def test_lattices_match_scan_on_small_blocks():
     seen = set()
-    for w in range(1, 11):
-        for h in range(1, 10 // w + 1):
-            for bits in range(1 << (w * h)):
-                rows = tuple((bits >> (j * w)) & ((1 << w) - 1) for j in range(h))
-                design = Design(w, h, rows)
-                want = scan_lattices(design)
-                assert translation_lattices(design) == want, (w, h, rows)
-                seen.add(basis_actions(design, *want))
+    for design in small_designs(10):
+        want = scan_lattices(design)
+        assert translation_lattices(design) == want, design
+        seen.add(basis_actions(design, *want))
     assert basis_actions(CHECKER, *scan_lattices(CHECKER)) == (SWAP, SWAP)
     assert seen == {(a, b) for a in (PRESERVE, SWAP) for b in (PRESERVE, SWAP)}
 
@@ -180,6 +196,90 @@ def test_lattice_cost_is_a_few_actions(monkeypatch):
     assert calls <= 16
 
 
+def full_block_members(design, lat, swap_rep, op):
+    """Reference: the member scan on the whole declared block, walking
+    every coset rep of `lat` in row order."""
+    if not all(lat.contains(op.apply(v)) for v in lat.basis):
+        return []
+    w, h, rows = design.width, design.height, design.rows
+    mask = (1 << w) - 1
+    egrid = design.pullback_rows(op, w, h)
+    inv = invert_op(op)
+    found = []
+    for t in [(x, y) for y in range(lat.c) for x in range(lat.a)]:
+        sx, sy = inv.apply(t)
+        chi = _shift_action(rows, egrid, sx, sy, w, mask)
+        if chi is None:
+            continue
+        found.append((t, chi))
+        if len(found) == (1 if swap_rep is None else 2):
+            break
+    return found
+
+
+def full_block_elements(design):
+    """(op, t, chi, side, element) of every colour-group member, from
+    the full-block scan, in `color_group` order."""
+    lat, swap_rep = translation_lattices(design)
+    out = [("identity", (0, 0), PRESERVE, "S1", {"kind": "identity"})]
+    if swap_rep is not None:
+        out.append(("identity", swap_rep, SWAP, side_of(SWAP, 1),
+                    locate_element(lat, GridIsometry(IDENTITY, swap_rep))))
+    for op in POINT_OPS[1:]:
+        for t, chi in full_block_members(design, lat, swap_rep, op):
+            out.append((op.name, t, chi, side_of(chi, op.delta),
+                        locate_element(lat, GridIsometry(op, t))))
+    return out
+
+
+def mirror_doubled(rng, count):
+    """Seeded random halves followed by their mirror image, tiled up to
+    3x3."""
+    for _ in range(count):
+        w, h = rng.randint(1, 4), rng.randint(1, 6)
+        rows = [rng.getrandbits(w) for _ in range(h)]
+        wide = Design(2 * w, h, tuple(r | (reverse_row(r, w) << w) for r in rows))
+        yield wide.tiled(rng.randint(1, 3), rng.randint(1, 3))
+
+
+def test_period_block_group_matches_full_block_scan():
+    rng = random.Random(20261018)
+    corpus = [*small_designs(10), *(e.design for e in load_manifest()),
+              *periodic_motifs(rng, 200), *sheared_motifs(rng, 150),
+              *mirror_doubled(rng, 150)]
+    assert len(corpus) == 7306 + 44 + 200 + 150 + 150
+    smaller = sheared = swap = diagonal = 0
+    for design in corpus:
+        got = color_group(design)
+        assert [(el.iso.op.name, el.iso.t, el.chi, el.side, el.element)
+                for el in got.elements] == full_block_elements(design), design
+        lat = got.lattice
+        smaller += lat.a * lat.min_along((0, 1)) < design.width * design.height
+        sheared += lat.b != 0
+        swap += got.swap_rep is not None
+        diagonal += any(el.iso.op.name in ("mirror_diag", "mirror_anti")
+                        for el in got.elements)
+    assert smaller and sheared and swap and diagonal
+
+
+def test_group_scans_only_the_period_block(monkeypatch):
+    # the lattice scan compares the declared rows; the point-op scans
+    # that follow see one 4x4 period of the twill
+    design = TWILL.tiled(32, 32)
+    lat, swap_rep = translation_lattices(design)
+    want = color_group(TWILL).elements
+    heights = []
+    real = analysis._shift_action
+
+    def recorded(rows, *args):
+        heights.append(len(rows))
+        return real(rows, *args)
+
+    monkeypatch.setattr(analysis, "_shift_action", recorded)
+    assert analysis._build_group(design, lat, swap_rep).elements == want
+    assert heights and set(heights) == {4}
+
+
 def test_checkerboard_has_quarter_turns():
     got = records(color_group(CHECKER))
     assert ("rot90", (1, 0)) in got or ("rot90", (0, 0)) in got
@@ -189,13 +289,13 @@ def test_checkerboard_has_quarter_turns():
 
 def test_chi_of_covers_whole_classes():
     analysis = color_group(TWILL)
-    assert analysis.chi_of(GridIsometry(R180, (1, 0))) == "preserve"
+    assert chi_of(analysis, GridIsometry(R180, (1, 0))) == "preserve"
     # the same element shifted by preserve and swap translations
-    assert analysis.chi_of(GridIsometry(R180, (5, 0))) == "preserve"
-    assert analysis.chi_of(GridIsometry(R180, (2, 1))) == "preserve"
-    assert analysis.chi_of(GridIsometry(R180, (3, 0))) == "swap"
-    assert analysis.chi_of(GridIsometry(R180, (0, 0))) is None
-    assert analysis.chi_of(GridIsometry(R90, (1, 0))) is None
+    assert chi_of(analysis, GridIsometry(R180, (5, 0))) == "preserve"
+    assert chi_of(analysis, GridIsometry(R180, (2, 1))) == "preserve"
+    assert chi_of(analysis, GridIsometry(R180, (3, 0))) == "swap"
+    assert chi_of(analysis, GridIsometry(R180, (0, 0))) is None
+    assert chi_of(analysis, GridIsometry(R90, (1, 0))) is None
 
 
 def test_full_lattice_extends_by_swap():

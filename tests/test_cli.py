@@ -1,10 +1,11 @@
 import json
 
 import pytest
+from helpers import uniform
 
 from weavesym.cli import main
 from weavesym.design import format_design
-from weavesym.weave import format_structure, gen_twill, load_structure, WeaveStructure
+from weavesym.weave import format_structure, gen_twill, load_structure
 
 TWILL_TEXT = format_design(gen_twill(2, 2, 1))
 
@@ -88,7 +89,7 @@ def test_generate_rejects_oversized_twill(extra, tmp_path, capsys):
 def test_render_weave_front_and_back(tmp_path):
     struct_path = tmp_path / "s.weave"
     struct_path.write_text(format_structure(
-        WeaveStructure.uniform(gen_twill(2, 2, 1))))
+        uniform(gen_twill(2, 2, 1))))
     front = tmp_path / "front.svg"
     back = tmp_path / "back.svg"
     assert main(["render-weave", str(struct_path), "--out", str(front)]) == 0

@@ -62,7 +62,7 @@ def test_reduce_and_cosets():
             r = lat.reduce((x, y))
             assert r in lat.coset_reps()
             assert lat.contains((x - r[0], y - r[1]))
-    assert len(lat.coset_reps()) == lat.index == 6
+    assert len(list(lat.coset_reps())) == lat.index == 6
 
 
 def test_min_along():

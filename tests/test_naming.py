@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from test_analysis import periodic_motifs
+from test_analysis import periodic_motifs, small_designs
 from test_diagrams import sheared_motifs
 
 from weavesym.analysis import color_group
@@ -69,17 +69,9 @@ def _reduced_records(analysis, lattice, side=None):
     return reps
 
 
-def _small_designs(max_cells):
-    for w in range(1, max_cells + 1):
-        for h in range(1, max_cells // w + 1):
-            for bits in range(1 << (w * h)):
-                yield Design(w, h, tuple((bits >> (j * w)) & ((1 << w) - 1)
-                                         for j in range(h)))
-
-
 def test_unreduced_records_name_as_reduced_ones():
     rng = random.Random(20261018)
-    corpus = [*_small_designs(10), *(e.design for e in load_manifest()),
+    corpus = [*small_designs(10), *(e.design for e in load_manifest()),
               *periodic_motifs(rng, 200), *sheared_motifs(rng, 150)]
     assert len(corpus) == 7306 + 44 + 350
     swap = sheared = axial = diagonal = 0

@@ -2,6 +2,7 @@ import random
 from itertools import product
 
 import pytest
+from helpers import uniform
 from naive_oracle import naive_render_back, naive_render_front, naive_twill_rows
 
 from weavesym.design import Design, DesignFormatError
@@ -91,7 +92,7 @@ def test_striped_faces():
 
 def test_uniform_builder():
     pattern = gen_twill(2, 1)
-    s = WeaveStructure.uniform(pattern)
+    s = uniform(pattern)
     assert s.warp_faces == (ONESIDED_WARP,) * 3
     assert s.weft_faces == (ONESIDED_WEFT,) * 3
 
@@ -117,7 +118,7 @@ def test_onesided_back_is_horizontal_mirror_of_front():
     for _ in range(50):
         w, h = rng.randint(1, 6), rng.randint(1, 6)
         pattern = Design(w, h, tuple(rng.randrange(1 << w) for _ in range(h)))
-        s = WeaveStructure.uniform(pattern)
+        s = uniform(pattern)
         front, back = s.render_front(), s.render_back()
         for j in range(h):
             for i in range(w):
@@ -155,7 +156,7 @@ def test_basket_front_is_the_pattern():
     for _ in range(20):
         w, h = rng.randint(1, 6), rng.randint(1, 6)
         pattern = Design(w, h, tuple(rng.randrange(1 << w) for _ in range(h)))
-        s = WeaveStructure.uniform(pattern, BASKET_WARP, BASKET_WEFT)
+        s = uniform(pattern, BASKET_WARP, BASKET_WEFT)
         assert s.render_front() == pattern
 
 
