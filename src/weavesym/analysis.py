@@ -239,13 +239,15 @@ def op_members(design: Design, lat: Lattice, swap_rep: Vec | None,
     mask = (1 << w) - 1
     egrid = design.pullback_rows(op, w, h)
     (a, b), (c, d) = invert_op(op).matrix
+    wanted = 1 if swap_rep is None else 2
     found = []
-    for t in lat.coset_reps():
-        tx, ty = t
-        chi = _shift_action(rows, egrid, a * tx + b * ty, c * tx + d * ty, w, mask)
-        if chi is None:
-            continue
-        found.append((t, chi))
-        if len(found) == (1 if swap_rep is None else 2):
-            break
+    # the coset reps of `lat`, the points of [0, a) x [0, c), row by row
+    for ty in range(lat.c):
+        for tx in range(lat.a):
+            chi = _shift_action(rows, egrid, a * tx + b * ty, c * tx + d * ty, w, mask)
+            if chi is None:
+                continue
+            found.append(((tx, ty), chi))
+            if len(found) == wanted:
+                return found
     return found

@@ -4,8 +4,8 @@ A design assigns one of two colours to every grid cell and repeats with
 some translational block.  Black (1) marks cells where the weft strand
 passes over the warp; white (0) marks warp-over-weft.  Rows are stored
 as integers with bit i holding the colour of cell (i, j); `rotl`,
-`reverse_row` and `tile_rows` are the row operations the rest of the
-package builds on.
+`reverse_row`, `transpose_rows` and `tile_rows` are the row operations
+the rest of the package builds on.
 """
 
 from __future__ import annotations
@@ -38,6 +38,14 @@ def rotl(row: int, s: int, w: int, mask: int) -> int:
 def reverse_row(row: int, w: int) -> int:
     """A w-cell row mirrored so that cell i moves to cell w - 1 - i."""
     return int(format(row, f"0{w}b")[::-1], 2)
+
+
+def transpose_rows(rows, w: int) -> list[int]:
+    """Rows of the transposed block: cell (i, j) moves to (j, i), so
+    row i holds column i of a block of w-cell rows."""
+    # column i, read bottom row first, is the binary string of row i
+    strs = [format(r, f"0{w}b") for r in reversed(rows)]
+    return [int("".join(col), 2) for col in zip(*strs)][::-1]
 
 
 def tile_rows(rows, w: int, width: int) -> list[int]:
@@ -126,10 +134,7 @@ class Design:
         (a, b), (c, d) = op.matrix
         w, h, rows = self.width, self.height, self.rows
         if b:
-            # column i of the block, read bottom row first, is the
-            # binary string of transposed row i
-            strs = [format(r, f"0{w}b") for r in reversed(rows)]
-            rows = [int("".join(col), 2) for col in zip(*strs)][::-1]
+            rows = transpose_rows(rows, w)
             w, h = h, w
             flip_x, flip_y = c < 0, b < 0
         else:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd
 
@@ -57,10 +56,6 @@ class Lattice:
         """Canonical coset representative in [0, a) x [0, c)."""
         k, ry = divmod(v[1], self.c)
         return ((v[0] - k * self.b) % self.a, ry)
-
-    def coset_reps(self) -> Iterator[Vec]:
-        """The points of [0, a) x [0, c), row by row, one per coset."""
-        return ((x, y) for y in range(self.c) for x in range(self.a))
 
     def min_along(self, direction: Vec) -> int:
         """Smallest m > 0 with m*direction in the lattice.

@@ -1,25 +1,30 @@
 """Exhaustive search for designs realising a target symmetry pair.
 
-Candidates are enumerated by growing block area, keeping, per
-translation class, only designs whose first row is at or above every
-rotation of every row.  Each candidate's translation lattice decides
+Candidates are enumerated by growing block area, one per class of
+designs under the translations and the point ops that map the block
+onto itself: the first member of the class in the enumeration order.
+A block wider than it is tall is skipped when its transpose lies in
+the bounds, because that block came first and holds the transpose of
+each of its classes.  Each candidate's translation lattice decides
 whether the block is exact (a design that repeats a smaller block was
 already seen on that block).  The lattice and the target's symbol then
 decide the candidate: it is tested against the target one point op at
 a time and dropped at the first contradiction; only the survivors are
-fully classified.  Matches are deduplicated up to grid point
-operations and translations.
+fully classified.  Designs that are copies of one another up to grid
+point operations and translations are thus met once; matches are still
+deduplicated on `canonical_key`, a guard that never drops one.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
 
 from .analysis import _build_group, op_members, side_of, translation_lattices
 from .classify import Classification, classify_analysis
-from .design import Design, rotl
+from .design import Design, reverse_row, rotl, transpose_rows
 from .isometry import (
     MIRROR_ANTI,
     MIRROR_DIAG,
@@ -72,29 +77,104 @@ def iter_blocks(max_w: int, max_h: int, max_cells: int):
 
 
 def iter_candidates(w: int, h: int):
-    """(design, lattice, swap_rep) for every design on an exact w-by-h
-    block, one per translation class at least, in increasing order of
-    the block read as one integer (row h-1 most significant).
+    """(design, lattice, swap_rep) for one design per class of exact
+    w-by-h designs, in increasing order of the block read as one
+    integer (row h-1 most significant).
 
-    Rows 1..h-1 run through every value; the first row then takes only
-    the rotation-maximal values at or above every rotation of the other
-    rows, so each translation class keeps at least one survivor.  The
-    preserve lattice holds (w, 0) and (0, h), so the block is exact
+    A class is the images of a design under the translations and the
+    point ops that map the block onto itself: the identity, the
+    half-turn and both mirrors, and on a square block the four ops
+    that exchange the axes.  Rows 1..h-1 run through every value and
+    the first row takes only the rotation-maximal values at or above
+    every rotation of the other rows (the top-row test).  A design is
+    kept when no image of it that passes the top-row test comes
+    earlier, so each class yields its first member in this order.
+    The preserve lattice holds (w, 0) and (0, h), so the block is exact
     unless its shortest translation along an axis is shorter than the
-    block.
+    block; every image of an exact design is exact.
     """
     mask = (1 << w) - 1
-    tops = [max(rotl(r, s, w, mask) for s in range(w)) for r in range(1 << w)]
+    # per-width tables, one machine int (at least 32 bits) per row
+    # value: each row's largest rotation, set once per rotation orbit,
+    # and its mirror image
+    tops = array("L", [0]) * (1 << w)
+    for r in range(1, 1 << w):
+        if not tops[r]:
+            orbit = [rotl(r, s, w, mask) for s in range(w)]
+            top = max(orbit)
+            for v in orbit:
+                tops[v] = top
+    rev = array("L", (reverse_row(r, w) for r in range(1 << w)))
     firsts = [r for r in range(1 << w) if r == tops[r]]
     for upper in product(range(1 << w), repeat=h - 1):
         upper = upper[::-1]   # row 1 varies fastest, row h-1 slowest
+        if upper < upper[::-1]:
+            # the y-mirror image (r0, r[h-1], ..., r1) passes the
+            # top-row test and comes earlier, whatever r0 is
+            continue
         top = max((tops[r] for r in upper), default=0)
         for r0 in firsts[bisect_left(firsts, top):]:
-            design = Design(w, h, (r0, *upper))
+            rows = (r0, *upper)
+            if not _first_in_class(rows, w, h, mask, tops, rev):
+                continue
+            design = Design(w, h, rows)
             lat, swap_rep = translation_lattices(design)
             if lat.a < w or lat.min_along((0, 1)) < h:
                 continue
             yield design, lat, swap_rep
+
+
+def _first_in_class(rows, w, h, mask, tops, rev) -> bool:
+    """True when no image of `rows` that passes the top-row test comes
+    before it; `rows` passes it, and `tops` and `rev` are the per-width
+    tables of largest rotations and mirrored rows."""
+    # the block's own translates, less the identity: with row 0 kept
+    # in place, only the rotations by dx >= 1 are new
+    if _translate_before(rows, rows, rows[0], w, h, mask, tops, first_dx=1):
+        return False
+    for image in _block_images(rows, w, h, rev):
+        if _translate_before(rows, image, max([tops[r] for r in image]), w, h, mask, tops):
+            return False
+    return True
+
+
+def _translate_before(rows, image, top, w, h, mask, tops, first_dx=0) -> bool:
+    """True when a translate of `image` whose row 0 is `top`, the
+    largest rotation of its rows, comes before `rows`."""
+    for dy in range(h):
+        r = image[dy]
+        if tops[r] != top:
+            continue
+        for dx in range(first_dx if dy == 0 else 0, w):
+            if rotl(r, dx, w, mask) != top:
+                continue
+            # the translate taking row dy to row 0, rotated by dx;
+            # compare from row h-1 down
+            for k in range(h - 1, -1, -1):
+                v = rotl(image[(k + dy) % h], dx, w, mask)
+                if v != rows[k]:
+                    if v < rows[k]:
+                        return True
+                    break
+    return False
+
+
+def _block_images(rows, w, h, rev):
+    """Images of the block under its point ops other than the
+    identity, each up to a translation: with the row order reversed
+    (y -> -y), with each row mirrored (x -> -x), both, and on a square
+    block the transposed block and its three such images."""
+    yield rows[::-1]
+    flipped = [rev[r] for r in rows]
+    yield flipped
+    yield flipped[::-1]
+    if w == h:
+        cols = transpose_rows(rows, w)
+        yield cols
+        yield cols[::-1]
+        flipped = [rev[c] for c in cols]
+        yield flipped
+        yield flipped[::-1]
 
 
 def canonical_key(design: Design):
@@ -187,7 +267,12 @@ def search(target: SearchTarget, max_block=(12, 12), limit: int | None = 1,
     admits = prefilter(target)
     results = []
     seen = set()
-    for w, h in iter_blocks(max_block[0], max_block[1], max_cells):
+    max_w, max_h = max_block
+    for w, h in iter_blocks(max_w, max_h, max_cells):
+        if h < w <= max_h:
+            # the transposed h x w block comes first and lies in the
+            # bounds, so every class on this block was met there
+            continue
         for design, lat, swap_rep in iter_candidates(w, h):
             if not admits(design, lat, swap_rep):
                 continue

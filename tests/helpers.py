@@ -1,7 +1,7 @@
 """Code that only the tests use: composing and inverting grid
 isometries, mapping one cell, looking up the colour action of any
-isometry in a computed group, and a weave structure with the same faces
-on every strand."""
+isometry in a computed group, the coset representatives of a lattice,
+and a weave structure with the same faces on every strand."""
 
 from weavesym.isometry import _BY_MATRIX, GridIsometry, PointOp, invert_op
 from weavesym.weave import ONESIDED_WARP, ONESIDED_WEFT, WeaveStructure
@@ -48,6 +48,12 @@ def chi_of(analysis, iso: GridIsometry):
         if (el.iso.op.name, el.iso.t) == key:
             return el.chi
     return None
+
+
+def coset_reps(lat):
+    """The points of [0, a) x [0, c) of a lattice, row by row, one per
+    coset."""
+    return ((x, y) for y in range(lat.c) for x in range(lat.a))
 
 
 def uniform(pattern, warp=ONESIDED_WARP, weft=ONESIDED_WEFT) -> WeaveStructure:

@@ -1,6 +1,8 @@
+import importlib
+
 import pytest
 
-from weavesym.analysis import _build_group
+from weavesym.analysis import _build_group, translation_lattices
 from weavesym.classify import classify, classify_analysis
 from weavesym.design import Design
 from weavesym.isometry import MIRROR_DIAG, R90
@@ -90,10 +92,39 @@ def _generate_then_filter(w, h):
         yield rows
 
 
+# the point ops that map a w-by-h block onto itself, as matrices
+# (a, b, c, d) taking cell (i, j) to (a*i + b*j, c*i + d*j); the last
+# four exchange the axes, so they keep only a square block
+_BLOCK_OPS = ((1, 0, 0, 1), (-1, 0, 0, -1), (-1, 0, 0, 1), (1, 0, 0, -1),
+              (0, 1, 1, 0), (0, -1, -1, 0), (0, -1, 1, 0), (0, 1, -1, 0))
+
+
+def _block_class(w, h, rows):
+    """Every image of a w-by-h design under the translations and the
+    point ops that map its block onto itself, moved cell by cell."""
+    cells = [(i, j) for j in range(h) for i in range(w) if rows[j] >> i & 1]
+    images = set()
+    for a, b, c, d in _BLOCK_OPS[:8 if w == h else 4]:
+        for dx in range(w):
+            for dy in range(h):
+                image = [0] * h
+                for i, j in cells:
+                    image[(c * i + d * j + dy) % h] |= 1 << ((a * i + b * j + dx) % w)
+                images.add(tuple(image))
+    return images
+
+
 def test_iter_candidates_matches_generate_then_filter():
+    """iter_candidates yields exactly the first design, in
+    _generate_then_filter order, of each of its classes."""
     for w, h in iter_blocks(12, 12, 12):
+        expected, seen = [], set()
+        for rows in _generate_then_filter(w, h):
+            if rows not in seen:
+                expected.append(rows)
+                seen |= _block_class(w, h, rows)
         got = [d.rows for d, _, _ in iter_candidates(w, h)]
-        assert got == list(_generate_then_filter(w, h)), (w, h)
+        assert got == expected, (w, h)
 
 
 def test_canonical_key_identifies_copies():
@@ -160,7 +191,9 @@ def test_prefilter_never_rejects_a_match():
     admits = [prefilter(t) for t in targets]
     designs = rejected = 0
     for w, h in iter_blocks(10, 10, 10):
-        for design, lat, swap_rep in iter_candidates(w, h):
+        for rows in _generate_then_filter(w, h):
+            design = Design(w, h, rows)
+            lat, swap_rep = translation_lattices(design)
             designs += 1
             cls = classify_analysis(_build_group(design, lat, swap_rep))
             for target, admit in zip(targets, admits):
@@ -179,21 +212,44 @@ def test_search_matches_an_unpruned_sweep():
     designs = [Design(w, h, rows) for w, h in iter_blocks(12, 12, 8)
                for rows in _generate_then_filter(w, h)]
     classified = [(d, classify(d), canonical_key(d)) for d in designs]
-    found = 0
-    for target in _all_targets():
-        expected, seen = [], set()
-        for design, cls, key in classified:
-            if not matches(cls, target):
-                continue
-            if key not in seen:
-                seen.add(key)
-                expected.append((design.width, design.height, design.rows))
-        got = [(d.width, d.height, d.rows)
-               for d, _ in search(target, limit=None, max_cells=8)]
-        assert got == expected, target.describe()
-        found += bool(got)
-    # 12 of the 70 targets are realised within 8 cells
-    assert found == 12
+    # (12, 12) holds every block of at most 8 cells and (3, 10) the
+    # transpose of each of its wide blocks; (9, 2) holds that of 2x1
+    # but not those of 3x1 or 4x2
+    for max_w, max_h in ((12, 12), (3, 10), (9, 2)):
+        found = 0
+        for target in _all_targets():
+            expected, seen = [], set()
+            for design, cls, key in classified:
+                if design.width > max_w or design.height > max_h or not matches(cls, target):
+                    continue
+                if key not in seen:
+                    seen.add(key)
+                    expected.append((design.width, design.height, design.rows))
+            got = [(d.width, d.height, d.rows) for d, _ in
+                   search(target, max_block=(max_w, max_h), limit=None, max_cells=8)]
+            assert got == expected, (max_w, max_h, target.describe())
+            found += bool(got)
+        # 12 of the 70 targets are realised within 8 cells on each bound
+        assert found == 12
+
+
+def test_search_tests_one_candidate_per_class(monkeypatch):
+    """Within the default bounds, search() hands the prefilter one
+    design per class under translations and all 8 point ops: 5,364,
+    where every translation class of every block gives 57,037."""
+    search_mod = importlib.import_module("weavesym.search")
+    real = search_mod.iter_candidates
+    count = 0
+
+    def counted(w, h):
+        nonlocal count
+        for item in real(w, h):
+            count += 1
+            yield item
+
+    monkeypatch.setattr(search_mod, "iter_candidates", counted)
+    search(parse_pair_target("p4mm,p4mm"), max_block=(12, 12), limit=None, max_cells=16)
+    assert count == 5364
 
 
 @pytest.mark.parametrize("kwargs", [
