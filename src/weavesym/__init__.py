@@ -15,7 +15,7 @@ from .diagrams import color_diagram_svg, design_svg, layer_diagram_svg, save_svg
 from .isometry import POINT_OPS, GridIsometry, PointOp, op_by_name
 from .lattice import Lattice
 from .naming import layer_symbol_for, pair_descriptor, validate_pair
-from .search import SearchTarget, parse_layer_target, parse_pair_target, search
+from .search import SearchTarget, parse_layer_target, parse_pair_target
 from .weave import (
     WeaveStructure,
     format_structure,
@@ -63,7 +63,6 @@ __all__ = [
     "save_design",
     "save_structure",
     "save_svg",
-    "search",
     "striped_faces",
     "translation_lattices",
     "validate_pair",

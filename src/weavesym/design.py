@@ -37,7 +37,8 @@ def rotl(row: int, s: int, w: int, mask: int) -> int:
 
 def reverse_row(row: int, w: int) -> int:
     """A w-cell row mirrored so that cell i moves to cell w - 1 - i."""
-    return int(format(row, f"0{w}b")[::-1], 2)
+    # the bit above the row keeps its leading zeros in the string
+    return int(bin(row | (1 << w))[:2:-1], 2)
 
 
 def transpose_rows(rows, w: int) -> list[int]:

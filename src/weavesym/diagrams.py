@@ -144,17 +144,12 @@ def _px(v2: int) -> str:
     return str(v2 * HALF)
 
 
-# ElementTree's attribute escaping; it replaces "&" first, so one
-# translation pass gives the same text
-_ATTRIB_ESCAPES = str.maketrans({
-    "&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
-    "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"})
-
-
 def _start(depth: int, tag: str, attrs: dict) -> str:
-    """Indented start tag, attributes in insertion order."""
+    """Indented start tag, attributes in insertion order and written
+    as given: every value is a constant of this module, a format field
+    or an integer, and none holds a character that XML escapes."""
     return "  " * depth + "<" + tag + "".join(
-        f' {k}="{v.translate(_ATTRIB_ESCAPES)}"' for k, v in attrs.items())
+        f' {k}="{v}"' for k, v in attrs.items())
 
 
 def _leaf(depth: int, tag: str, attrs: dict) -> str:
@@ -212,8 +207,6 @@ def _glyph_line(kind: str, side: str, mode: str) -> str:
     else:
         data_kind = lift_kind(kind, side)
         css, color = _LAYER_CLASS[data_kind], BLACK
-    # the constant parts are escaped here, once per line; the fields are
-    # filled with integers, which need no escaping
     base = {"class": f"{css} {side.lower()}", "data-kind": data_kind}
     if kind in ("mirror", "glide"):
         attrs = {"x1": "{0}", "y1": "{1}", "x2": "{2}", "y2": "{3}", **base,

@@ -31,11 +31,6 @@ class PointOp:
         four that exchange them (quarter turns and diagonal mirrors)."""
         return 1 if self.matrix[0][1] == 0 else -1
 
-    @property
-    def is_rotation(self) -> bool:
-        (a, b), (c, d) = self.matrix
-        return a * d - b * c == 1
-
     def __repr__(self) -> str:
         return f"PointOp({self.name})"
 

@@ -7,10 +7,11 @@ A block wider than it is tall is skipped when its transpose lies in
 the bounds, because that block came first and holds the transpose of
 each of its classes.  Each candidate's translation lattice decides
 whether the block is exact (a design that repeats a smaller block was
-already seen on that block).  The lattice and the target's symbol then
-decide the candidate: it is tested against the target one point op at
-a time and dropped at the first contradiction; only the survivors are
-fully classified.  Designs that are copies of one another up to grid
+already seen on that block).  The lattice and the target's point
+orders then decide the candidate: its point ops are tested one at a
+time, and it is dropped as soon as S or S1 outgrows its point order
+or disagrees with it on the half-turn; only candidates whose S and S1
+hold exactly their point orders are fully classified.  Designs that are copies of one another up to grid
 point operations and translations are thus met once; matches are still
 deduplicated on `canonical_key`, a guard that never drops one.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 from .analysis import _build_group, op_members, side_of, translation_lattices
 from .classify import Classification, classify_analysis
@@ -94,9 +95,8 @@ def iter_candidates(w: int, h: int):
     block; every image of an exact design is exact.
     """
     mask = (1 << w) - 1
-    # per-width tables, one machine int (at least 32 bits) per row
-    # value: each row's largest rotation, set once per rotation orbit,
-    # and its mirror image
+    # per-width table, one machine int (at least 32 bits) per row
+    # value: each row's largest rotation, set once per rotation orbit
     tops = array("L", [0]) * (1 << w)
     for r in range(1, 1 << w):
         if not tops[r]:
@@ -104,7 +104,6 @@ def iter_candidates(w: int, h: int):
             top = max(orbit)
             for v in orbit:
                 tops[v] = top
-    rev = array("L", (reverse_row(r, w) for r in range(1 << w)))
     firsts = [r for r in range(1 << w) if r == tops[r]]
     for upper in product(range(1 << w), repeat=h - 1):
         upper = upper[::-1]   # row 1 varies fastest, row h-1 slowest
@@ -115,7 +114,7 @@ def iter_candidates(w: int, h: int):
         top = max((tops[r] for r in upper), default=0)
         for r0 in firsts[bisect_left(firsts, top):]:
             rows = (r0, *upper)
-            if not _first_in_class(rows, w, h, mask, tops, rev):
+            if not _first_in_class(rows, w, h, mask, tops):
                 continue
             design = Design(w, h, rows)
             lat, swap_rep = translation_lattices(design)
@@ -124,55 +123,50 @@ def iter_candidates(w: int, h: int):
             yield design, lat, swap_rep
 
 
-def _first_in_class(rows, w, h, mask, tops, rev) -> bool:
-    """True when no image of `rows` that passes the top-row test comes
-    before it; `rows` passes it, and `tops` and `rev` are the per-width
-    tables of largest rotations and mirrored rows."""
-    # the block's own translates, less the identity: with row 0 kept
-    # in place, only the rotations by dx >= 1 are new
-    if _translate_before(rows, rows, rows[0], w, h, mask, tops, first_dx=1):
-        return False
-    for image in _block_images(rows, w, h, rev):
-        if _translate_before(rows, image, max([tops[r] for r in image]), w, h, mask, tops):
-            return False
+def _first_in_class(rows, w, h, mask, tops) -> bool:
+    """True when no translate of `rows` or of its images that passes
+    the top-row test comes before it; `rows` passes it, and `tops` is
+    the per-width table of largest rotations."""
+    for image in chain((rows,), _block_images(rows, w, h)):
+        # a translate passes when its row 0 is `top`, the largest
+        # rotation of the image's rows: rows[0] for the block itself,
+        # whose translates by dy = 0 are new only from dx = 1 on
+        if image is rows:
+            top, start = rows[0], 1
+        else:
+            top, start = max([tops[r] for r in image]), 0
+        for dy in range(h):
+            r = image[dy]
+            if tops[r] != top:
+                continue
+            for dx in range(start if dy == 0 else 0, w):
+                if rotl(r, dx, w, mask) != top:
+                    continue
+                # the translate taking row dy to row 0, rotated by dx;
+                # compare from row h-1 down
+                for k in range(h - 1, -1, -1):
+                    v = rotl(image[(k + dy) % h], dx, w, mask)
+                    if v != rows[k]:
+                        if v < rows[k]:
+                            return False
+                        break
     return True
 
 
-def _translate_before(rows, image, top, w, h, mask, tops, first_dx=0) -> bool:
-    """True when a translate of `image` whose row 0 is `top`, the
-    largest rotation of its rows, comes before `rows`."""
-    for dy in range(h):
-        r = image[dy]
-        if tops[r] != top:
-            continue
-        for dx in range(first_dx if dy == 0 else 0, w):
-            if rotl(r, dx, w, mask) != top:
-                continue
-            # the translate taking row dy to row 0, rotated by dx;
-            # compare from row h-1 down
-            for k in range(h - 1, -1, -1):
-                v = rotl(image[(k + dy) % h], dx, w, mask)
-                if v != rows[k]:
-                    if v < rows[k]:
-                        return True
-                    break
-    return False
-
-
-def _block_images(rows, w, h, rev):
+def _block_images(rows, w, h):
     """Images of the block under its point ops other than the
     identity, each up to a translation: with the row order reversed
     (y -> -y), with each row mirrored (x -> -x), both, and on a square
     block the transposed block and its three such images."""
     yield rows[::-1]
-    flipped = [rev[r] for r in rows]
+    flipped = [reverse_row(r, w) for r in rows]
     yield flipped
     yield flipped[::-1]
     if w == h:
         cols = transpose_rows(rows, w)
         yield cols
         yield cols[::-1]
-        flipped = [rev[c] for c in cols]
+        flipped = [reverse_row(c, w) for c in cols]
         yield flipped
         yield flipped[::-1]
 
@@ -199,8 +193,9 @@ def matches(cls: Classification, target: SearchTarget) -> bool:
     return cls.pair_descriptor == target.describe()
 
 
-# Point ops in the order the prefilter tests them: the half-turn and the
-# mirrors decide most targets, the quarter-turns only the fourfold ones.
+# Point ops in the order the prefilter tests them: the half-turn first,
+# whose presence in S and in S1 their rotation orders fix; the others
+# only count towards the point orders.
 _PREFILTER_OPS = (R180, MIRROR_X, MIRROR_Y, MIRROR_DIAG, MIRROR_ANTI, R90, R270)
 
 
@@ -209,18 +204,17 @@ def prefilter(target: SearchTarget):
     the design's colour group cannot give the target pair.
 
     It first asks for colour-exchanging translations exactly when S1 is
-    given and has the point order of S.  Point ops are then tested one
-    at a time, and the predicate stops at the first that contradicts a
-    necessary condition: the half-turn and the quarter-turn present
-    exactly when S has them, the half-turn on the S1 side exactly when
-    S1 has it, a mirror present exactly when S has reflections, no more
-    ops in S or S1 than their point orders allow, and no S2 member when
-    the target wants S2 empty.
+    given and has the point order of S, n * (1 + refl) as read by
+    `naming.point_group`.  Point ops are then tested one at a time, and
+    the predicate stops as soon as S or S1 holds more ops than its
+    point order, an S2 member appears when the target wants S2 empty,
+    or the half-turn lies in S or in S1 though that group's n is odd,
+    or is missing though it is even.  After the last op, S and S1 must
+    each hold exactly their point order.
     """
     s2_empty = target.s1 == "-"
     n, refl = point_group(target.s)
     n1, refl1 = point_group(target.s if s2_empty else target.s1)
-    rot2, rot2_s1, rot4 = n % 2 == 0, n1 % 2 == 0, n == 4
     order, order_s1 = n * (1 + refl), n1 * (1 + refl1)
     swap = not s2_empty and order == order_s1
 
@@ -228,7 +222,6 @@ def prefilter(target: SearchTarget):
         if (swap_rep is not None) != swap:
             return False
         n_ops = n_s1_ops = 1   # the identity
-        mirrors = 0
         for op in _PREFILTER_OPS:
             sides = [side_of(chi, op.delta)
                      for _, chi in op_members(design, lat, swap_rep, op)]
@@ -237,17 +230,9 @@ def prefilter(target: SearchTarget):
             n_s1_ops += in_s1
             if n_ops > order or n_s1_ops > order_s1 or (s2_empty and "S2" in sides):
                 return False
-            if op is R180 and (in_s != rot2 or in_s1 != rot2_s1):
+            if op is R180 and (in_s != (n % 2 == 0) or in_s1 != (n1 % 2 == 0)):
                 return False
-            if op is R90 and in_s != rot4:
-                return False
-            if not op.is_rotation:
-                if in_s and not refl:
-                    return False
-                mirrors += in_s
-                if op is MIRROR_ANTI and refl and not mirrors:
-                    return False
-        return True
+        return n_ops == order and n_s1_ops == order_s1
 
     return admits
 
@@ -258,16 +243,18 @@ def search(target: SearchTarget, max_block=(12, 12), limit: int | None = 1,
 
     Returns a list of (design, classification) pairs.  With limit=None
     the whole capped space is swept.  Raises ValueError for a limit
-    below 1 or a cell cap outside 1..MAX_CELLS.
+    below 1, a block side below 1 or a cell cap outside 1..MAX_CELLS.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     if not 1 <= max_cells <= MAX_CELLS:
         raise ValueError(f"max_cells must be between 1 and {MAX_CELLS}, got {max_cells}")
+    max_w, max_h = max_block
+    if max_w < 1 or max_h < 1:
+        raise ValueError(f"max_block sides must be at least 1, got {max_block}")
     admits = prefilter(target)
     results = []
     seen = set()
-    max_w, max_h = max_block
     for w, h in iter_blocks(max_w, max_h, max_cells):
         if h < w <= max_h:
             # the transposed h x w block comes first and lies in the

@@ -1,10 +1,17 @@
-"""Code that only the tests use: composing and inverting grid
-isometries, mapping one cell, looking up the colour action of any
-isometry in a computed group, the coset representatives of a lattice,
-and a weave structure with the same faces on every strand."""
+"""Code that only the tests use: telling rotations from reflections,
+composing and inverting grid isometries, mapping one cell, looking up
+the colour action of any isometry in a computed group, the coset
+representatives of a lattice, and a weave structure with the same
+faces on every strand."""
 
 from weavesym.isometry import _BY_MATRIX, GridIsometry, PointOp, invert_op
 from weavesym.weave import ONESIDED_WARP, ONESIDED_WEFT, WeaveStructure
+
+
+def is_rotation(op: PointOp) -> bool:
+    """True for the four point ops with determinant 1."""
+    (a, b), (c, d) = op.matrix
+    return a * d - b * c == 1
 
 
 def apply_cell(iso: GridIsometry, cell):

@@ -10,6 +10,7 @@ from weavesym.design import (
     format_design,
     load_design,
     parse_design,
+    reverse_row,
     save_design,
 )
 from weavesym.isometry import MIRROR_DIAG, MIRROR_X, POINT_OPS, R90, GridIsometry
@@ -83,6 +84,22 @@ def test_tiled():
     for j in range(4):
         for i in range(4):
             assert t.cell(i, j) == d.cell(i, j)
+
+
+def _reverse_cells(row, w):
+    return sum(1 << (w - 1 - i) for i in range(w) if row >> i & 1)
+
+
+def test_reverse_row_moves_cell_i_to_w_minus_1_minus_i():
+    for w in range(1, 11):
+        for row in range(1 << w):
+            assert reverse_row(row, w) == _reverse_cells(row, w), (row, w)
+    # wider than a machine word
+    rng = random.Random(13)
+    for w in range(1, 131):
+        for _ in range(5):
+            row = rng.getrandbits(w)
+            assert reverse_row(row, w) == _reverse_cells(row, w), (row, w)
 
 
 def test_transformed_is_pullback():

@@ -1,5 +1,5 @@
 import pytest
-from helpers import apply_cell, compose, compose_ops, invert
+from helpers import apply_cell, compose, compose_ops, invert, is_rotation
 
 from weavesym.isometry import (
     IDENTITY,
@@ -29,7 +29,7 @@ def test_deltas():
 
 
 def test_rotation_flags():
-    rotations = {op.name for op in POINT_OPS if op.is_rotation}
+    rotations = {op.name for op in POINT_OPS if is_rotation(op)}
     assert rotations == {"identity", "rot90", "rot180", "rot270"}
 
 

@@ -1,12 +1,13 @@
-import importlib
+from types import ModuleType
 
 import pytest
 
+import weavesym.search as search_mod
 from weavesym.analysis import _build_group, translation_lattices
 from weavesym.classify import classify, classify_analysis
 from weavesym.design import Design
-from weavesym.isometry import MIRROR_DIAG, R90
-from weavesym.naming import PLANE_GROUPS, validate_pair
+from weavesym.isometry import IDENTITY, MIRROR_DIAG, R90, R180
+from weavesym.naming import PLANE_GROUPS, point_group, validate_pair
 from weavesym.search import (
     MAX_CELLS,
     SearchTarget,
@@ -206,6 +207,41 @@ def test_prefilter_never_rejects_a_match():
     assert rejected > designs * len(targets) // 2
 
 
+def _stated_rule(target, analysis):
+    """The prefilter's rule, read from the full colour group: colour-
+    exchanging translations exactly when S1 is given and has the point
+    order of S, S and S1 each holding exactly their point order, the
+    half-turn in each exactly when its n is even, and no point-op S2
+    member when S2 must be empty."""
+    s2_empty = target.s1 == "-"
+    n, refl = point_group(target.s)
+    n1, refl1 = point_group(target.s if s2_empty else target.s1)
+    order, order_s1 = n * (1 + refl), n1 * (1 + refl1)
+    ops = {el.iso.op for el in analysis.elements}
+    ops_s1 = {el.iso.op for el in analysis.elements if el.side == "S1"}
+    return ((analysis.swap_rep is not None) == (not s2_empty and order == order_s1)
+            and len(ops) == order and len(ops_s1) == order_s1
+            and (R180 in ops) == (n % 2 == 0) and (R180 in ops_s1) == (n1 % 2 == 0)
+            and not (s2_empty and any(el.side == "S2" and el.iso.op is not IDENTITY
+                                      for el in analysis.elements)))
+
+
+def test_prefilter_admits_exactly_its_stated_rule():
+    targets = _all_targets()
+    admits = [prefilter(t) for t in targets]
+    designs = 0
+    for w, h in iter_blocks(10, 10, 10):
+        for rows in _generate_then_filter(w, h):
+            design = Design(w, h, rows)
+            lat, swap_rep = translation_lattices(design)
+            designs += 1
+            analysis = _build_group(design, lat, swap_rep)
+            for target, admit in zip(targets, admits):
+                assert admit(design, lat, swap_rep) == _stated_rule(target, analysis), (
+                    design, target.describe())
+    assert designs == 1947
+
+
 def test_search_matches_an_unpruned_sweep():
     """search() equals every bitmask filtered as in _generate_then_filter,
     classified in full, matched, and kept on its first canonical key."""
@@ -237,7 +273,6 @@ def test_search_tests_one_candidate_per_class(monkeypatch):
     """Within the default bounds, search() hands the prefilter one
     design per class under translations and all 8 point ops: 5,364,
     where every translation class of every block gives 57,037."""
-    search_mod = importlib.import_module("weavesym.search")
     real = search_mod.iter_candidates
     count = 0
 
@@ -252,8 +287,17 @@ def test_search_tests_one_candidate_per_class(monkeypatch):
     assert count == 5364
 
 
+def test_search_submodule_is_not_shadowed():
+    # the package does not re-export the function under the module's name
+    import weavesym.search as m
+
+    assert isinstance(m, ModuleType)
+    assert callable(m.search) and callable(m.iter_candidates)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"limit": 0}, {"limit": -1}, {"max_cells": 0}, {"max_cells": MAX_CELLS + 1},
+    {"max_block": (0, 12)}, {"max_block": (12, -1)},
 ])
 def test_search_rejects_out_of_range_bounds(kwargs):
     with pytest.raises(ValueError):
