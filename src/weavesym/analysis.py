@@ -198,19 +198,13 @@ def color_group(design: Design) -> ColorGroupAnalysis:
 def _build_group(design: Design, lat: Lattice,
                  swap_rep: Vec | None) -> ColorGroupAnalysis:
     # the design repeats on the a x c' rectangle spanned by (a, 0) and
-    # (0, c') in `lat`, so the point-op scans run on that period block
+    # (0, c') in `lat`, so the point-op scans run on that period block;
+    # for IDENTITY the scan yields (0, 0) and then swap_rep, the only
+    # swap-coset point in [0, a) x [0, c)
     a, c = lat.a, lat.min_along((0, 1))
     period = Design(a, c, design.pullback_rows(IDENTITY, a, c))
-    elements = [
-        GroupElement(GridIsometry(IDENTITY), PRESERVE, "S1", {"kind": "identity"})
-    ]
-    if swap_rep is not None:
-        iso = GridIsometry(IDENTITY, swap_rep)
-        elements.append(
-            GroupElement(iso, SWAP, side_of(SWAP, 1), locate_element(lat, iso)))
+    elements = []
     for op in POINT_OPS:
-        if op is IDENTITY:
-            continue
         for t, chi in op_members(period, lat, swap_rep, op):
             iso = GridIsometry(op, t)
             elements.append(
@@ -233,7 +227,7 @@ def op_members(design: Design, lat: Lattice, swap_rep: Vec | None,
     # ops that move it can be skipped outright; for the survivors the
     # pull-back repeats on the block too, and one comparison on the
     # block is sound
-    if not all(lat.contains(op.apply(v)) for v in lat.basis):
+    if not (lat.contains(op.apply((lat.a, 0))) and lat.contains(op.apply((lat.b, lat.c)))):
         return []
     w, h, rows = design.width, design.height, design.rows
     mask = (1 << w) - 1

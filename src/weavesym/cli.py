@@ -79,8 +79,6 @@ def _parse_block(text: str) -> tuple[int, int]:
         w, h = int(parts[0]), int(parts[1])
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected WxH, got {text!r}") from None
-    if w < 1 or h < 1:
-        raise argparse.ArgumentTypeError("block dimensions must be positive")
     return w, h
 
 

@@ -160,21 +160,23 @@ def _row_bits(line: str, j: int) -> int:
     return int(line[::-1].translate(_CELL_BITS) or "0", 2)
 
 
-def content_lines(text: str) -> list[tuple[int, str]]:
-    """(line number, body) of every line that is not blank once its
-    `//` comment is stripped; numbers count from 1."""
-    return [(lineno, body) for lineno, raw in enumerate(text.splitlines(), start=1)
-            if (body := raw.split("//", 1)[0].strip())]
+def content_lines(text: str, magic: str, kind: str) -> list[tuple[int, str]]:
+    """(line number, body) of every line after the `magic` header that
+    is not blank once its `//` comment is stripped; numbers count from
+    1.  A file of only blank and comment lines is an empty `kind` file;
+    otherwise the first line with a body must be the header."""
+    lines = [(lineno, body) for lineno, raw in enumerate(text.splitlines(), start=1)
+             if (body := raw.split("//", 1)[0].strip())]
+    if not lines:
+        raise DesignFormatError(f"empty {kind} file")
+    lineno, header = lines[0]
+    if header != magic:
+        raise DesignFormatError(f"line {lineno}: expected '{magic}' header")
+    return lines[1:]
 
 
 def parse_design(text: str) -> Design:
-    lines = content_lines(text)
-    if not lines:
-        raise DesignFormatError("empty design file")
-    lineno, header = lines[0]
-    if header != MAGIC:
-        raise DesignFormatError(f"line {lineno}: expected '{MAGIC}' header")
-    return parse_block(lines[1:])
+    return parse_block(content_lines(text, MAGIC, "design"))
 
 
 def parse_block(lines: list[tuple[int, str]]) -> Design:

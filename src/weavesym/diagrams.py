@@ -41,23 +41,18 @@ _LAYER_CLASS = {
 
 
 def _line_segment(u, off2: int, w2: int, h2: int):
-    """Clip the axis line with direction u and half-unit offset off2 to
-    the window [0,w2] x [0,h2]; None when it misses."""
+    """End points of the axis line with direction u and half-unit offset
+    off2, clipped to the window [0,w2] x [0,h2]; off2 lies in
+    `_offset_range(u, w2, h2)`, so the segment is never empty."""
     if u == (1, 0):
-        if 0 <= off2 < h2:
-            return (0, off2), (w2, off2)
-    elif u == (0, 1):
-        if 0 <= off2 < w2:
-            return (off2, 0), (off2, h2)
-    elif u == (1, 1):
+        return (0, off2), (w2, off2)
+    if u == (0, 1):
+        return (off2, 0), (off2, h2)
+    if u == (1, 1):
         x0, x1 = max(0, off2), min(w2, h2 + off2)
-        if x0 < x1:
-            return (x0, x0 - off2), (x1, x1 - off2)
-    else:
-        x0, x1 = max(0, off2 - h2), min(w2, off2)
-        if x0 < x1:
-            return (x0, off2 - x0), (x1, off2 - x1)
-    return None
+        return (x0, x0 - off2), (x1, x1 - off2)
+    x0, x1 = max(0, off2 - h2), min(w2, off2)
+    return (x0, off2 - x0), (x1, off2 - x1)
 
 
 def _rotation_centres(lat: Lattice, name: str, t, w2: int, h2: int):

@@ -64,8 +64,6 @@ class Lattice:
         (1,-1) are ever needed.
         """
         ux, uy = direction
-        if uy == 0:
-            return self.a
         m1 = self.c // gcd(self.c, uy)
         g = m1 * ux - ((m1 * uy) // self.c) * self.b
         return m1 * (self.a // gcd(self.a, g))

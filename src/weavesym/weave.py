@@ -109,16 +109,12 @@ def striped_faces(count: int, stripe: int, phase: int = 0,
 
 
 def parse_structure(text: str) -> WeaveStructure:
-    lines = content_lines(text)
-    if not lines:
-        raise DesignFormatError("empty structure file")
-    lineno, header = lines[0]
-    if header != STRUCTURE_MAGIC:
-        raise DesignFormatError(f"line {lineno}: expected '{STRUCTURE_MAGIC}' header")
     faces = {}                  # "warp"/"weft" -> (line number, entries)
     pattern_lines = []
-    for lineno, line in lines[1:]:
+    for lineno, line in content_lines(text, STRUCTURE_MAGIC, "structure"):
         if line.startswith(("warp ", "weft ")):
+            if line[:4] in faces:
+                raise DesignFormatError(f"line {lineno}: repeated '{line[:4]}' line")
             faces[line[:4]] = (lineno, line.split()[1:])
         else:
             pattern_lines.append((lineno, line))

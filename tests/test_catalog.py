@@ -1,8 +1,13 @@
+import importlib.util
 import json
+import pathlib
+import sys
+from importlib import resources
 
 import pytest
 
 from weavesym.catalog import (
+    MANIFEST_RESOURCE,
     CatalogEntry,
     catalog_stats,
     has_glide,
@@ -146,3 +151,19 @@ def test_manifest_rejects_bad_shape(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(ValueError, match=message):
         load_manifest(path)
+
+
+def test_build_script_reproduces_the_bundled_manifest(tmp_path, monkeypatch):
+    # any change to search order or naming that the bundled catalog
+    # cannot be rebuilt from shows up here
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "build_catalog.py"
+    spec = importlib.util.spec_from_file_location("build_catalog", path)
+    script = importlib.util.module_from_spec(spec)
+    # the script puts src/ on sys.path when it loads
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec.loader.exec_module(script)
+    out = tmp_path / "manifest.json"
+    monkeypatch.setattr(script, "OUT", out)
+    assert script.main() == 0
+    bundled = resources.files("weavesym").joinpath(MANIFEST_RESOURCE).read_bytes()
+    assert out.read_bytes() == bundled

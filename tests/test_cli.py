@@ -4,7 +4,7 @@ import pytest
 from helpers import uniform
 
 from weavesym.cli import main
-from weavesym.design import format_design
+from weavesym.design import Design, format_design
 from weavesym.weave import format_structure, gen_twill, load_structure
 
 TWILL_TEXT = format_design(gen_twill(2, 2, 1))
@@ -23,6 +23,13 @@ def test_analyze_plain(twill_file, capsys):
     assert out.splitlines()[-1] == "(p2mg, p2gg) → pbab"
     assert "S  = p2mg" in out
     assert "S1 = p2gg" in out
+
+
+def test_analyze_plain_marks_quarter_turns_provisional(tmp_path, capsys):
+    path = tmp_path / "checker.weave"
+    path.write_text(format_design(Design.from_strings(["#.", ".#"])))
+    assert main(["analyze", str(path)]) == 0
+    assert "provisional: contains 4-fold rotations" in capsys.readouterr().out.splitlines()
 
 
 def test_analyze_json(twill_file, capsys):
@@ -66,6 +73,16 @@ def test_generate_striped_twill(tmp_path):
     struct = load_structure(out)
     assert struct.warp_faces == ("WB", "BW")
     assert struct.pattern.height == 4
+
+
+def test_generate_weft_striped_twill(tmp_path):
+    out = tmp_path / "t.weave"
+    assert main(["generate", "twill", "--over", "1", "--under", "1",
+                 "--rows", "4", "--stripe-weft", "2", "--phase-weft", "1",
+                 "--out", str(out)]) == 0
+    struct = load_structure(out)
+    assert struct.weft_faces == ("WB", "BW", "BW", "WB")
+    assert set(struct.warp_faces) == {"BW"}
 
 
 def test_generate_rejects_bad_twill(tmp_path, capsys):
@@ -124,12 +141,21 @@ def test_search_no_result(capsys):
 
 @pytest.mark.parametrize("flag,value", [
     ("--limit", "0"), ("--limit", "-1"), ("--max-cells", "0"), ("--max-cells", "40"),
+    ("--max-block", "0x3"),
 ])
 def test_search_rejects_out_of_range_bounds(flag, value, capsys):
     assert main(["search", "--pair", "p1,-", flag, value]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("value", ["3x", "ax3", "3x3x3"])
+def test_search_rejects_malformed_max_block(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--pair", "p1,-", "--max-block", value])
+    assert exc.value.code == 2
+    assert f"expected WxH, got {value!r}" in capsys.readouterr().err
 
 
 def test_catalog_verify(capsys):
@@ -190,8 +216,10 @@ def test_catalog_wrong_expectation_exits_1(tmp_path, capsys):
      "entry #0: key 'id' must be a string"),
     ({"version": 1, "entries": [{**TWILL_ENTRY, "hasGlide": "no"}]},
      "entry x-01: key 'hasGlide' must be true or false"),
+    ({"version": 1, "entries": [TWILL_ENTRY, {**TWILL_ENTRY, "name": "copy"}]},
+     "duplicate entry ids in manifest"),
 ], ids=["no-design", "no-id", "no-entries", "top-level-list", "ragged-row",
-        "int-rows", "list-id", "string-bool"])
+        "int-rows", "list-id", "string-bool", "duplicate-id"])
 def test_catalog_bad_manifest_exits_2(tmp_path, capsys, manifest, message):
     assert verify_manifest(tmp_path, json.dumps(manifest)) == 2
     captured = capsys.readouterr()

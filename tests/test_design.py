@@ -163,6 +163,18 @@ def test_parse_design_errors():
         parse_design("weave-design v1\nblock 2 2\n..\n")
     with pytest.raises(DesignFormatError, match="^line 5: expected 1 rows, found 2"):
         parse_design("weave-design v1\nblock 2 1\n..\n// two\n##\n")
+    with pytest.raises(DesignFormatError, match="^empty design file$"):
+        parse_design("// nothing here\n\n")
+    with pytest.raises(DesignFormatError, match="^line 2: expected 'weave-design v1' header$"):
+        parse_design("\nweave-structure v1\nblock 1 1\n#\n")
+    with pytest.raises(DesignFormatError, match="^missing 'block W H' line$"):
+        parse_design("weave-design v1\n// no block\n")
+    with pytest.raises(DesignFormatError, match="^line 3: expected 'block W H'$"):
+        parse_design("weave-design v1\n\nblock 2\n..\n")
+    with pytest.raises(DesignFormatError, match="^line 2: block dimensions must be integers$"):
+        parse_design("weave-design v1\nblock 2 x\n..\n")
+    with pytest.raises(DesignFormatError, match="^line 2: block dimensions must be positive$"):
+        parse_design("weave-design v1\nblock 0 1\n\n")
 
 
 def test_format_parse_roundtrip():

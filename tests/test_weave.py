@@ -179,6 +179,8 @@ def test_parse_structure_errors():
     with pytest.raises(DesignFormatError, match="face"):
         parse_structure(
             "weave-structure v1\nblock 2 1\n#.\nwarp BW\nweft WB\n")
+    with pytest.raises(DesignFormatError, match="^empty structure file$"):
+        parse_structure("  // blank\n")
 
 
 def test_parse_structure_errors_name_the_file_line():
@@ -191,3 +193,5 @@ def test_parse_structure_errors_name_the_file_line():
         parse_structure(head + "##\nwarp BW\nweft WB WB\n")
     with pytest.raises(DesignFormatError, match="^line 8: bad weft faces 'WX'"):
         parse_structure(head + "##\nwarp BW BW\nweft WB WX\n")
+    with pytest.raises(DesignFormatError, match="^line 9: repeated 'warp' line$"):
+        parse_structure(head + "##\nwarp BW BW\nweft WB WB\nwarp WB WB\n")
