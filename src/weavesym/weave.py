@@ -112,10 +112,11 @@ def parse_structure(text: str) -> WeaveStructure:
     faces = {}                  # "warp"/"weft" -> (line number, entries)
     pattern_lines = []
     for lineno, line in content_lines(text, STRUCTURE_MAGIC, "structure"):
-        if line.startswith(("warp ", "weft ")):
-            if line[:4] in faces:
-                raise DesignFormatError(f"line {lineno}: repeated '{line[:4]}' line")
-            faces[line[:4]] = (lineno, line.split()[1:])
+        label, *entries = line.split()
+        if label in ("warp", "weft"):
+            if label in faces:
+                raise DesignFormatError(f"line {lineno}: repeated '{label}' line")
+            faces[label] = (lineno, entries)
         else:
             pattern_lines.append((lineno, line))
     try:

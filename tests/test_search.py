@@ -1,3 +1,6 @@
+import random
+import sys
+import threading
 from types import ModuleType
 
 import pytest
@@ -7,7 +10,7 @@ from weavesym.analysis import _build_group, translation_lattices
 from weavesym.classify import classify, classify_analysis
 from weavesym.design import Design
 from weavesym.isometry import IDENTITY, MIRROR_DIAG, R90, R180
-from weavesym.naming import PLANE_GROUPS, point_group, validate_pair
+from weavesym.naming import PLANE_GROUPS, pair_table, point_group, validate_pair
 from weavesym.search import (
     MAX_CELLS,
     SearchTarget,
@@ -272,7 +275,9 @@ def test_search_matches_an_unpruned_sweep():
 def test_search_tests_one_candidate_per_class(monkeypatch):
     """Within the default bounds, search() hands the prefilter one
     design per class under translations and all 8 point ops: 5,364,
-    where every translation class of every block gives 57,037."""
+    where every translation class of every block gives 57,037; the
+    same from an empty block cache and from a full one."""
+    monkeypatch.setattr(search_mod, "_BLOCKS", {})
     real = search_mod.iter_candidates
     count = 0
 
@@ -283,8 +288,98 @@ def test_search_tests_one_candidate_per_class(monkeypatch):
             yield item
 
     monkeypatch.setattr(search_mod, "iter_candidates", counted)
-    search(parse_pair_target("p4mm,p4mm"), max_block=(12, 12), limit=None, max_cells=16)
-    assert count == 5364
+    for _ in range(2):
+        count = 0
+        search(parse_pair_target("p4mm,p4mm"), max_block=(12, 12), limit=None, max_cells=16)
+        assert count == 5364
+
+
+def _triples(items):
+    return [(d.width, d.height, d.rows, lat, swap_rep) for d, lat, swap_rep in items]
+
+
+def test_block_cache_yields_the_enumeration(monkeypatch):
+    """For every block search() visits at the default bounds, the
+    candidates read while the cache fills and once it is full are
+    those of the uncached enumeration."""
+    monkeypatch.setattr(search_mod, "_BLOCKS", {})
+    blocks = [(w, h) for w, h in iter_blocks(12, 12, 16) if not h < w <= 12]
+    for w, h in blocks:
+        cold = _triples(iter_candidates(w, h))
+        warm = _triples(iter_candidates(w, h))
+        assert cold == warm == _triples(search_mod._enumerate(w, h)), (w, h)
+    assert sorted(search_mod._BLOCKS) == sorted(blocks)
+
+
+def test_block_cache_serves_interleaved_iterators(monkeypatch):
+    """An iterator left inside the stored prefix carries on correctly
+    after another one has extended the block to its end."""
+    monkeypatch.setattr(search_mod, "_BLOCKS", {})
+    expected = _triples(search_mod._enumerate(2, 6))
+    first = iter_candidates(2, 6)
+    head = [next(first) for _ in range(3)]
+    second = _triples(iter_candidates(2, 6))
+    assert _triples(head) + _triples(first) == second == expected
+
+
+def test_block_cache_recovers_from_an_interrupted_enumeration(monkeypatch):
+    """An exception raised inside the enumeration leaves the block
+    cache able to finish the block with no candidate lost."""
+    monkeypatch.setattr(search_mod, "_BLOCKS", {})
+    expected = _triples(search_mod._enumerate(3, 3))
+    calls = 0
+
+    def interrupted(design):
+        nonlocal calls
+        calls += 1
+        if calls == 5:
+            raise KeyboardInterrupt
+        return translation_lattices(design)
+
+    monkeypatch.setattr(search_mod, "translation_lattices", interrupted)
+    it = iter_candidates(3, 3)
+    head = []
+    with pytest.raises(KeyboardInterrupt):
+        for item in it:
+            head.append(item)
+    assert 0 < len(head) < len(expected)
+    assert _triples(iter_candidates(3, 3)) == expected
+
+
+def test_search_is_safe_from_several_threads(monkeypatch):
+    """Threads sweeping the 15 tabulated targets in their own orders
+    over an empty block cache each get the serial results."""
+    targets = [parse_pair_target(f"{s},{s1}") for s, s1 in sorted(pair_table())]
+
+    def found(target):
+        return [(d.width, d.height, d.rows, cls.pair_descriptor)
+                for d, cls in search(target, limit=1)]
+
+    serial = {t: found(t) for t in targets}
+    monkeypatch.setattr(search_mod, "_BLOCKS", {})
+    results, errors = [], []
+
+    def sweep(seed):
+        order = targets[:]
+        random.Random(seed).shuffle(order)
+        try:
+            results.append({t: found(t) for t in order})
+        except Exception as exc:   # reported below, by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=sweep, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert results == [serial] * 4
 
 
 def test_search_submodule_is_not_shadowed():

@@ -195,3 +195,9 @@ def test_parse_structure_errors_name_the_file_line():
         parse_structure(head + "##\nwarp BW BW\nweft WB WX\n")
     with pytest.raises(DesignFormatError, match="^line 9: repeated 'warp' line$"):
         parse_structure(head + "##\nwarp BW BW\nweft WB WB\nwarp WB WB\n")
+    # a face line is known by its first word, whatever space follows it
+    assert (parse_structure(head + "##\nwarp\tBW BW\nweft WB WB\n")
+            == parse_structure(head + "##\nwarp BW BW\nweft WB WB\n"))
+    with pytest.raises(DesignFormatError,
+                       match="^line 7: expected 2 warp face entries, got 0$"):
+        parse_structure(head + "##\nwarp\nweft WB WB\n")
