@@ -8,26 +8,23 @@ the bounds, because that block came first and holds the transpose of
 each of its classes.  Each candidate's translation lattice decides
 whether the block is exact (a design that repeats a smaller block was
 already seen on that block).  Each block is enumerated once per
-process: its candidates are stored packed as they are met and read
-back by every later search, and a block that no search has finished
-keeps its enumeration, with its 2^w-entry table, until the process
-ends.  The lattice and the target's point orders then decide the
-candidate: its point ops are tested one at a time, and it is dropped
-as soon as S or S1 outgrows its point order or disagrees with it on
-the half-turn; only candidates whose S and S1 hold exactly their point
-orders are fully classified.  Designs that are copies of one another
-up to grid point operations and translations are thus met once;
-matches are still deduplicated on `canonical_key`, a guard that never
-drops one.
+process, whole, by the first search that reaches it; its candidates
+are stored packed and read back by every later search.  The lattice
+and the target's point orders then decide the candidate: its point
+ops are tested one at a time, and it is dropped as soon as S or S1
+outgrows its point order or disagrees with it on the half-turn; only
+candidates whose S and S1 hold exactly their point orders are fully
+classified.  Designs that are copies of one another up to grid point
+operations and translations are thus met once; matches are still
+deduplicated on `canonical_key`, a guard that never drops one.
 """
 
 from __future__ import annotations
 
-import threading
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, islice, product
+from itertools import chain, product
 
 from .analysis import _build_group, op_members, side_of, translation_lattices
 from .classify import Classification, classify_analysis
@@ -87,93 +84,41 @@ def iter_candidates(w: int, h: int):
     """(design, lattice, swap_rep) for one design per class of exact
     w-by-h designs, as `_enumerate` yields them.
 
-    Each block is enumerated once per process.  Its candidates are
-    stored packed as they are first met, each as the block read as one
-    integer and the index of its (lattice, swap_rep) among the block's
-    distinct pairs, and later reads decode them from there, with no
-    lattice or canonicity test.  A consumer that reaches the end of
-    what is stored resumes the block's enumeration, so a search that
-    stops early enumerates no further.  A block not yet
-    finished keeps its enumeration, with its 2^w-entry table of
-    largest rotations, until the process ends.  Safe to call from
-    several threads.
+    The first call for a block runs its enumeration to the end and
+    stores the candidates packed: each as the block read as one integer
+    (row h-1 most significant) and the index of its (lattice, swap_rep)
+    among the block's distinct pairs.  Every call decodes them from
+    there, with no lattice or canonicity test.  Safe to call from
+    several threads: two that reach a new block together may both
+    enumerate it, and one of the equal results is kept.
     """
     block = _BLOCKS.get((w, h))
     if block is None:
-        with _BLOCKS_LOCK:
-            block = _BLOCKS.get((w, h))
-            if block is None:
-                block = _BLOCKS[w, h] = _Block(w, h)
+        block = _BLOCKS.setdefault((w, h), _store(w, h))
+    bits, pair, pairs = block
     mask = (1 << w) - 1
     shifts = range(0, w * h, w)
-    bits, pair, pairs = block.bits, block.pair, block.pairs
-    i = 0
-    while True:
-        item = None
-        # `pair` is appended to last, so its length counts the
-        # candidates stored in full
-        if i == len(pair):
-            with _BLOCKS_LOCK:
-                if i == len(pair):
-                    item = block.extend()
-                    if item is None:
-                        return
-        if item is None:
-            packed = bits[i]
-            lat, swap_rep = pairs[pair[i]]
-            item = Design(w, h, tuple([(packed >> s) & mask for s in shifts])), lat, swap_rep
-        yield item
-        i += 1
+    for packed, k in zip(bits, pair):
+        lat, swap_rep = pairs[k]
+        yield Design(w, h, tuple([(packed >> s) & mask for s in shifts])), lat, swap_rep
 
 
-class _Block:
-    """The candidates of one w-by-h block met so far: in `bits` each
-    design read as one integer (row h-1 most significant; w*h bits,
-    at most MAX_CELLS in a search), and in `pair` the index of its (lattice,
-    swap_rep) in `pairs`.  `source` is the block's `_enumerate`
-    generator, None once it is exhausted.  Extended only under
-    `_BLOCKS_LOCK`."""
-
-    __slots__ = ("w", "h", "bits", "pair", "pairs", "pair_index", "source")
-
-    def __init__(self, w: int, h: int):
-        self.w, self.h = w, h
-        self.bits = array("L")
-        self.pair = array("H")
-        self.pairs = []
-        self.pair_index = {}
-        self.source = _enumerate(w, h)
-
-    def extend(self):
-        """Store the block's next candidate and return it; None when
-        the block has no more."""
-        if self.source is None:
-            return None
-        try:
-            item = next(self.source, None)
-        except BaseException:
-            # a generator that raised is finished: restart the
-            # enumeration past the stored candidates
-            self.source = islice(_enumerate(self.w, self.h), len(self.pair), None)
-            raise
-        if item is None:
-            self.source = None
-            return None
-        design, lat, swap_rep = item
-        k = self.pair_index.setdefault((lat, swap_rep), len(self.pairs))
-        if k == len(self.pairs):
-            self.pairs.append((lat, swap_rep))
+def _store(w: int, h: int):
+    """The whole enumeration of one block, packed as `iter_candidates`
+    reads it: (bits, pair index, distinct (lattice, swap_rep) pairs).
+    Each entry of `bits` holds w*h bits, at most MAX_CELLS in a search."""
+    bits, pair, index = array("L"), array("H"), {}
+    for design, lat, swap_rep in _enumerate(w, h):
         packed = 0
         for r in reversed(design.rows):
-            packed = packed << self.w | r
-        self.bits.append(packed)
-        self.pair.append(k)
-        return item
+            packed = packed << w | r
+        bits.append(packed)
+        pair.append(index.setdefault((lat, swap_rep), len(index)))
+    return bits, pair, list(index)
 
 
-# (w, h) -> the candidates of that block met so far in this process
-_BLOCKS: dict[tuple[int, int], _Block] = {}
-_BLOCKS_LOCK = threading.Lock()
+# (w, h) -> the packed candidates of that block, once enumerated whole
+_BLOCKS: dict[tuple[int, int], tuple[array, array, list]] = {}
 
 
 def _enumerate(w: int, h: int):
@@ -338,7 +283,9 @@ def prefilter(target: SearchTarget):
 
 def search(target: SearchTarget, max_block=(12, 12), limit: int | None = 1,
            max_cells: int = DEFAULT_MAX_CELLS):
-    """Designs matching the target, in (area, width, rows) order.
+    """Designs matching the target, ordered by block area, then block
+    width, then the block read as one integer with row h-1 most
+    significant (so rows (2, 1) come before (1, 2)).
 
     Returns a list of (design, classification) pairs.  With limit=None
     the whole capped space is swept.  Raises ValueError for a limit

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import settings
 
 from weavesym.classify import classify
-from weavesym.design import Design
+from weavesym.design import Design, reverse_row
 from weavesym.weave import gen_twill
 
 SEED = 20260814
@@ -18,14 +18,6 @@ def random_design(rng, max_w=8, max_h=8):
     w = rng.randint(1, max_w)
     h = rng.randint(1, max_h)
     return Design(w, h, tuple(rng.randrange(1 << w) for _ in range(h)))
-
-
-def _mirror_row(r, w):
-    out = 0
-    for i in range(w):
-        if (r >> i) & 1:
-            out |= 1 << (w - 1 - i)
-    return out
 
 
 def build_corpus(rng, count=220):
@@ -42,7 +34,7 @@ def build_corpus(rng, count=220):
         corpus.append(d.tiled(nx, ny))
     for _ in range(30):
         d = random_design(rng, 4, 8)
-        wide = tuple(r | (_mirror_row(r, d.width) << d.width) for r in d.rows)
+        wide = tuple(r | (reverse_row(r, d.width) << d.width) for r in d.rows)
         corpus.append(Design(2 * d.width, d.height, wide))
     return corpus
 

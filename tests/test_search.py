@@ -323,8 +323,8 @@ def test_block_cache_serves_interleaved_iterators(monkeypatch):
 
 
 def test_block_cache_recovers_from_an_interrupted_enumeration(monkeypatch):
-    """An exception raised inside the enumeration leaves the block
-    cache able to finish the block with no candidate lost."""
+    """An exception raised inside the enumeration stores nothing and
+    yields nothing, so the next read enumerates the whole block."""
     monkeypatch.setattr(search_mod, "_BLOCKS", {})
     expected = _triples(search_mod._enumerate(3, 3))
     calls = 0
@@ -342,8 +342,28 @@ def test_block_cache_recovers_from_an_interrupted_enumeration(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         for item in it:
             head.append(item)
-    assert 0 < len(head) < len(expected)
+    assert head == []
+    assert calls == 5
+    assert (3, 3) not in search_mod._BLOCKS
     assert _triples(iter_candidates(3, 3)) == expected
+
+
+def test_search_that_stops_early_stores_its_blocks_whole(monkeypatch):
+    """A limit=1 search that stops inside the 3x3 block leaves every
+    block it reached stored whole, so reading any of them back needs no
+    further lattice."""
+    monkeypatch.setattr(search_mod, "_BLOCKS", {})
+    search(parse_pair_target("c1m1,p1"), limit=1)
+    assert (3, 3) in search_mod._BLOCKS
+    expected = {block: _triples(search_mod._enumerate(*block))
+                for block in search_mod._BLOCKS}
+
+    def no_lattices(design):
+        raise AssertionError("the block was not stored whole")
+
+    monkeypatch.setattr(search_mod, "translation_lattices", no_lattices)
+    for (w, h), triples in expected.items():
+        assert _triples(iter_candidates(w, h)) == triples, (w, h)
 
 
 def test_search_is_safe_from_several_threads(monkeypatch):
