@@ -69,9 +69,9 @@ class Design:
         if len(self.rows) != self.height:
             raise ValueError(f"expected {self.height} rows, got {len(self.rows)}")
         mask = (1 << self.width) - 1
-        for j, r in enumerate(self.rows):
-            if r < 0 or r & ~mask:
-                raise ValueError(f"row {j} has bits outside the block width")
+        if min(self.rows) < 0 or max(self.rows) > mask:
+            j = next(j for j, r in enumerate(self.rows) if not 0 <= r <= mask)
+            raise ValueError(f"row {j} has bits outside the block width")
 
     @classmethod
     def from_strings(cls, lines) -> "Design":
@@ -146,7 +146,7 @@ class Design:
             rows = rows[::-1]
         if width != w:
             rows = tile_rows(rows, w, width)
-        return tuple(rows[j % h] for j in range(height))
+        return tuple((rows * -(-height // h))[:height])
 
     def __str__(self) -> str:
         return "\n".join(self.to_strings())

@@ -24,12 +24,13 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 
 from .analysis import _build_group, op_members, side_of, translation_lattices
 from .classify import Classification, classify_analysis
-from .design import Design, reverse_row, rotl, transpose_rows
+from .design import Design, rotl
 from .isometry import (
+    IDENTITY,
     MIRROR_ANTI,
     MIRROR_DIAG,
     MIRROR_X,
@@ -109,10 +110,7 @@ def _store(w: int, h: int):
     Each entry of `bits` holds w*h bits, at most MAX_CELLS in a search."""
     bits, pair, index = array("L"), array("H"), {}
     for design, lat, swap_rep in _enumerate(w, h):
-        packed = 0
-        for r in reversed(design.rows):
-            packed = packed << w | r
-        bits.append(packed)
+        bits.append(_pack(design.rows, w))
         pair.append(index.setdefault((lat, swap_rep), len(index)))
     return bits, pair, list(index)
 
@@ -131,9 +129,10 @@ def _enumerate(w: int, h: int):
     half-turn and both mirrors, and on a square block the four ops
     that exchange the axes.  Rows 1..h-1 run through every value and
     the first row takes only the rotation-maximal values at or above
-    every rotation of the other rows (the top-row test).  A design is
-    kept when no image of it that passes the top-row test comes
-    earlier, so each class yields its first member in this order.
+    every rotation of the other rows (the top-row test).  The first
+    design of a class met in this order stands for it and marks every
+    member that passes the top-row test, in a table indexed by the
+    block read as one integer; a marked design is skipped.
     The preserve lattice holds (w, 0) and (0, h), so the block is exact
     unless its shortest translation along an axis is shorter than the
     block; every image of an exact design is exact.
@@ -149,6 +148,11 @@ def _enumerate(w: int, h: int):
             for v in orbit:
                 tops[v] = top
     firsts = [r for r in range(1 << w) if r == tops[r]]
+    ops = POINT_OPS if w == h else (IDENTITY, R180, MIRROR_X, MIRROR_Y)
+    n = w * h
+    full = (1 << n) - 1
+    ones = full // mask   # cell 0 of every row
+    marked = bytearray(1 << n)
     for upper in product(range(1 << w), repeat=h - 1):
         upper = upper[::-1]   # row 1 varies fastest, row h-1 slowest
         if upper < upper[::-1]:
@@ -156,63 +160,40 @@ def _enumerate(w: int, h: int):
             # top-row test and comes earlier, whatever r0 is
             continue
         top = max((tops[r] for r in upper), default=0)
+        high = _pack(upper, w)
         for r0 in firsts[bisect_left(firsts, top):]:
-            rows = (r0, *upper)
-            if not _first_in_class(rows, w, h, mask, tops):
+            if marked[high << w | r0]:
                 continue
-            design = Design(w, h, rows)
+            design = Design(w, h, (r0, *upper))
+            for op in ops:
+                image = design.pullback_rows(op, w, h)
+                # a translate passes when its row 0 is the image's
+                # largest row rotation
+                first = max([tops[r] for r in image])
+                packed = _pack(image, w)
+                for dy, r in enumerate(image):
+                    if tops[r] != first:
+                        continue
+                    # the translate taking row dy to row 0, then each
+                    # row rotated by dx: `low` holds the dx cells that
+                    # wrap round to the start of every row
+                    moved = (packed >> dy * w | packed << n - dy * w) & full
+                    for dx in range(w):
+                        if rotl(r, dx, w, mask) == first:
+                            low = ones * ((1 << dx) - 1)
+                            marked[moved << dx & full & ~low | moved >> w - dx & low] = 1
             lat, swap_rep = translation_lattices(design)
             if lat.a < w or lat.min_along((0, 1)) < h:
                 continue
             yield design, lat, swap_rep
 
 
-def _first_in_class(rows, w, h, mask, tops) -> bool:
-    """True when no translate of `rows` or of its images that passes
-    the top-row test comes before it; `rows` passes it, and `tops` is
-    the per-width table of largest rotations."""
-    for image in chain((rows,), _block_images(rows, w, h)):
-        # a translate passes when its row 0 is `top`, the largest
-        # rotation of the image's rows: rows[0] for the block itself,
-        # whose translates by dy = 0 are new only from dx = 1 on
-        if image is rows:
-            top, start = rows[0], 1
-        else:
-            top, start = max([tops[r] for r in image]), 0
-        for dy in range(h):
-            r = image[dy]
-            if tops[r] != top:
-                continue
-            for dx in range(start if dy == 0 else 0, w):
-                if rotl(r, dx, w, mask) != top:
-                    continue
-                # the translate taking row dy to row 0, rotated by dx;
-                # compare from row h-1 down
-                for k in range(h - 1, -1, -1):
-                    v = rotl(image[(k + dy) % h], dx, w, mask)
-                    if v != rows[k]:
-                        if v < rows[k]:
-                            return False
-                        break
-    return True
-
-
-def _block_images(rows, w, h):
-    """Images of the block under its point ops other than the
-    identity, each up to a translation: with the row order reversed
-    (y -> -y), with each row mirrored (x -> -x), both, and on a square
-    block the transposed block and its three such images."""
-    yield rows[::-1]
-    flipped = [reverse_row(r, w) for r in rows]
-    yield flipped
-    yield flipped[::-1]
-    if w == h:
-        cols = transpose_rows(rows, w)
-        yield cols
-        yield cols[::-1]
-        flipped = [reverse_row(c, w) for c in cols]
-        yield flipped
-        yield flipped[::-1]
+def _pack(rows, w: int) -> int:
+    """The w-cell rows read as one integer, the last row most significant."""
+    packed = 0
+    for r in reversed(rows):
+        packed = packed << w | r
+    return packed
 
 
 def canonical_key(design: Design):

@@ -147,6 +147,16 @@ def test_validation():
         Design(2, 1, (4,))
 
 
+@pytest.mark.parametrize("rows, bad", [
+    ((3, 4, 8), 1),     # 4 needs a third cell
+    ((1, 2, -1), 2),    # a negative row has bits beyond every width
+    ((8, 1, -1), 0),    # the first bad row is named, not the most negative
+])
+def test_validation_names_the_first_bad_row(rows, bad):
+    with pytest.raises(ValueError, match=f"^row {bad} has bits outside the block width$"):
+        Design(2, 3, rows)
+
+
 def test_parse_design():
     d = parse_design("weave-design v1\n// note\nblock 3 2\n#..\n.#.\n")
     assert d.rows == (1, 2)

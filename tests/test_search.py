@@ -1,6 +1,8 @@
+import json
 import random
 import sys
 import threading
+from pathlib import Path
 from types import ModuleType
 
 import pytest
@@ -120,8 +122,14 @@ def _block_class(w, h, rows):
 
 def test_iter_candidates_matches_generate_then_filter():
     """iter_candidates yields exactly the first design, in
-    _generate_then_filter order, of each of its classes."""
-    for w, h in iter_blocks(12, 12, 12):
+    _generate_then_filter order, of each of its classes: on every block
+    of at most 12 cells, and on the larger blocks that search() visits
+    at the default bounds (4x4 is the only one of them whose classes
+    use all 8 point ops)."""
+    larger = [(w, h) for w, h in iter_blocks(12, 12, 16)
+              if w * h > 12 and not h < w <= 12]
+    assert larger == [(2, 7), (3, 5), (2, 8), (4, 4)]
+    for w, h in [*iter_blocks(12, 12, 12), *larger]:
         expected, seen = [], set()
         for rows in _generate_then_filter(w, h):
             if rows not in seen:
@@ -270,6 +278,21 @@ def test_search_matches_an_unpruned_sweep():
             found += bool(got)
         # 12 of the 70 targets are realised within 8 cells on each bound
         assert found == 12
+
+
+def test_first_designs_match_the_fixture():
+    """search(t, limit=1, max_cells=12) for each of the 70 targets that
+    validate_pair accepts: the first design's rows and layer symbol,
+    or null when no design of at most 12 cells realises the target, as
+    pinned in first_designs.json (keyed "S,S1")."""
+    expected = json.loads(Path(__file__).with_name("first_designs.json").read_text())
+    got = {}
+    for target in _all_targets():
+        found = search(target, limit=1, max_cells=12)
+        got[f"{target.s},{target.s1}"] = (
+            [found[0][0].to_strings(), found[0][1].layer_symbol] if found else None)
+    assert got == expected
+    assert sum(v is not None for v in got.values()) == 25
 
 
 def test_search_tests_one_candidate_per_class(monkeypatch):
