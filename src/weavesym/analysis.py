@@ -21,7 +21,6 @@ from .isometry import (
     POINT_OPS,
     PointOp,
     Vec,
-    invert_op,
 )
 from .lattice import Lattice
 
@@ -199,7 +198,7 @@ def _build_group(design: Design, lat: Lattice,
                  swap_rep: Vec | None) -> ColorGroupAnalysis:
     # the design repeats on the a x c' rectangle spanned by (a, 0) and
     # (0, c') in `lat`, so the point-op scans run on that period block;
-    # for IDENTITY the scan yields (0, 0) and then swap_rep, the only
+    # for IDENTITY op_members returns (0, 0) and then swap_rep, the only
     # swap-coset point in [0, a) x [0, c)
     a, c = lat.a, lat.min_along((0, 1))
     period = Design(a, c, design.pullback_rows(IDENTITY, a, c))
@@ -215,13 +214,17 @@ def _build_group(design: Design, lat: Lattice,
 def op_members(design: Design, lat: Lattice, swap_rep: Vec | None,
                op: PointOp) -> list[tuple[Vec, str]]:
     """Translation parts and colour actions of the colour-group members
-    with point part `op`, one per coset of `lat`.
+    with point part `op`, one per coset of `lat`, as (coset rep, chi)
+    in (ty, tx) order.
 
     `design` may be any block of the design whose sides (w, 0) and
     (0, h) lie in `lat`: `_build_group` passes the a x c' period block,
-    search its exact candidate blocks.  When `op` is present it has one
-    such coset, or two when there are colour-exchanging translations
-    (`swap_rep` is not None); the scan stops once they are found.
+    search its exact candidate blocks.  When `op` is present its members
+    are one of them composed with every translation of the group, so
+    they fill one coset of `lat`, or two when there are colour-exchanging
+    translations (`swap_rep` is not None); the scan stops once it has
+    that many.  It costs O(w + h + hits * h), with hits the shifts that
+    pass the row-0 lookup below, instead of one test per coset rep.
     """
     # members of the colour group normalise the preserve lattice, so
     # ops that move it can be skipped outright; for the survivors the
@@ -232,16 +235,27 @@ def op_members(design: Design, lat: Lattice, swap_rep: Vec | None,
     w, h, rows = design.width, design.height, design.rows
     mask = (1 << w) - 1
     egrid = design.pullback_rows(op, w, h)
-    (a, b), (c, d) = invert_op(op).matrix
+    # a shift (sx, sy) can act only if row 0 rotated by sx is pull-back
+    # row sy or its complement, so index the pull-back rows by value and
+    # test just those shifts
+    at: dict[int, list[int]] = {}
+    for sy, row in enumerate(egrid):
+        at.setdefault(row, []).append(sy)
     wanted = 1 if swap_rep is None else 2
-    found = []
-    # the coset reps of `lat`, the points of [0, a) x [0, c), row by row
-    for ty in range(lat.c):
-        for tx in range(lat.a):
-            chi = _shift_action(rows, egrid, a * tx + b * ty, c * tx + d * ty, w, mask)
+    found: dict[Vec, str] = {}
+    for sx in range(w):
+        r0 = rotl(rows[0], sx, w, mask)
+        for sy in (*at.get(r0, ()), *at.get(r0 ^ mask, ())):
+            chi = _shift_action(rows, egrid, sx, sy, w, mask)
             if chi is None:
                 continue
-            found.append(((tx, ty), chi))
+            # s gives the member x -> op(x) + op(s), kept under its rep
+            # t; the rep's own shift invert(op)(t) differs from s by a
+            # vector of `lat` (op normalises `lat`), and the rows and
+            # egrid repeat on `lat`, so both shifts have one chi
+            found.setdefault(lat.reduce(op.apply((sx, sy))), chi)
             if len(found) == wanted:
-                return found
-    return found
+                return sorted(found.items(), key=lambda m: (m[0][1], m[0][0]))
+    # every shift of the block was looked up and none acts (one member
+    # would bring all `wanted` cosets with it)
+    return []

@@ -48,7 +48,6 @@ POINT_OPS: tuple[PointOp, ...] = (
     IDENTITY, R90, R180, R270, MIRROR_X, MIRROR_Y, MIRROR_DIAG, MIRROR_ANTI,
 )
 
-_BY_MATRIX = {op.matrix: op for op in POINT_OPS}
 _BY_NAME = {op.name: op for op in POINT_OPS}
 
 # Axis direction of each reflection, as a primitive integer vector.
@@ -62,12 +61,6 @@ AXIS_DIR = {
 
 def op_by_name(name: str) -> PointOp:
     return _BY_NAME[name]
-
-
-def invert_op(f: PointOp) -> PointOp:
-    # the matrices are orthogonal, so the inverse is the transpose
-    (a, b), (c, d) = f.matrix
-    return _BY_MATRIX[((a, c), (b, d))]
 
 
 @dataclass(frozen=True)

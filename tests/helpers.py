@@ -1,11 +1,13 @@
 """Code that only the tests use: telling rotations from reflections,
-composing and inverting grid isometries, mapping one cell, looking up
-the colour action of any isometry in a computed group, the coset
-representatives of a lattice, and a weave structure with the same
-faces on every strand."""
+composing and inverting point ops and grid isometries, mapping one
+cell, looking up the colour action of any isometry in a computed group,
+the coset representatives of a lattice, and a weave structure with the
+same faces on every strand."""
 
-from weavesym.isometry import _BY_MATRIX, GridIsometry, PointOp, invert_op
+from weavesym.isometry import POINT_OPS, GridIsometry, PointOp
 from weavesym.weave import ONESIDED_WARP, ONESIDED_WEFT, WeaveStructure
+
+_BY_MATRIX = {op.matrix: op for op in POINT_OPS}
 
 
 def is_rotation(op: PointOp) -> bool:
@@ -38,6 +40,12 @@ def compose(f: GridIsometry, g: GridIsometry) -> GridIsometry:
     """f after g."""
     tx, ty = f.op.apply(g.t)
     return GridIsometry(compose_ops(f.op, g.op), (tx + f.t[0], ty + f.t[1]))
+
+
+def invert_op(f: PointOp) -> PointOp:
+    # the matrices are orthogonal, so the inverse is the transpose
+    (a, b), (c, d) = f.matrix
+    return _BY_MATRIX[((a, c), (b, d))]
 
 
 def invert(f: GridIsometry) -> GridIsometry:

@@ -1,6 +1,6 @@
 import random
 
-from helpers import chi_of
+from helpers import chi_of, invert_op
 from test_diagrams import sheared_motifs
 
 from weavesym import analysis
@@ -11,6 +11,7 @@ from weavesym.analysis import (
     _translation_action,
     color_group,
     locate_element,
+    op_members,
     parallel_coeff,
     side_of,
     translation_lattices,
@@ -27,7 +28,6 @@ from weavesym.isometry import (
     R90,
     R180,
     GridIsometry,
-    invert_op,
     op_by_name,
 )
 from weavesym.lattice import Lattice
@@ -260,6 +260,78 @@ def test_period_block_group_matches_full_block_scan():
         diagonal += any(el.iso.op.name in ("mirror_diag", "mirror_anti")
                         for el in got.elements)
     assert smaller and sheared and swap and diagonal
+
+
+# the distinct block shapes of the analyze-random benchmark up to 24 x 32,
+# and 32 x 48
+RANDOM_SHAPES = [(8, 8), (8, 12), (8, 16), (12, 12), (8, 24), (12, 16), (16, 16),
+                 (12, 24), (16, 20), (8, 32), (24, 32), (32, 48)]
+
+
+def row0_blocks(rng):
+    """Blocks whose row 0 is all zeros, all ones or '01' repeated, so
+    it meets many pull-back rows; the other rows are random, and in
+    every second block they mirror about row 0 (row j equals row -j)."""
+    for w, h in [(8, 8), (12, 16), (16, 12), (24, 32)]:
+        mask = (1 << w) - 1
+        for r0 in (0, mask, mask // 3):
+            for mirrored in (False, True):
+                rows = [r0] + [rng.getrandbits(w) for _ in range(h - 1)]
+                if mirrored:
+                    rows = [rows[min(j, h - j)] for j in range(h)]
+                yield Design(w, h, tuple(rows))
+
+
+def test_group_matches_full_block_scan_on_large_and_adversarial_blocks():
+    rng = random.Random(20261019)
+    randoms = [Design(w, h, tuple(rng.getrandbits(w) for _ in range(h)))
+               for shape in RANDOM_SHAPES for w, h in (shape, shape[::-1])]
+    stripes = [Design(w, h, (rng.getrandbits(w),) * h)
+               for w, h in [(rng.randint(1, 12), rng.randint(1, 8)) for _ in range(60)]]
+    # a sheared lattice has c' > c, so several shifts in the a x c'
+    # period block map to one coset rep
+    sheared = [d for d in [*periodic_motifs(rng, 200), *sheared_motifs(rng, 200)]
+               if (lat := translation_lattices(d)[0]).min_along((0, 1)) > lat.c]
+    cases = {"random": randoms, "row0": list(row0_blocks(rng)),
+             "stripes": stripes, "sheared": sheared}
+    groups = {case: [color_group(d) for d in designs] for case, designs in cases.items()}
+    for case, designs in cases.items():
+        for design, got in zip(designs, groups[case]):
+            assert [(el.iso.op.name, el.iso.t, el.chi, el.side, el.element)
+                    for el in got.elements] == full_block_elements(design), (case, design)
+            # on the declared block, taller than the period, one column
+            # can hold several shifts of one member
+            for op in POINT_OPS:
+                args = (design, got.lattice, got.swap_rep, op)
+                assert op_members(*args) == full_block_members(*args), (case, design, op)
+    assert {d.width < d.height for d in randoms} == {True, False}
+    assert any(len(g.elements) > 1 for g in groups["row0"])
+    assert any(g.swap_rep is not None for g in groups["stripes"])
+    assert any(g.swap_rep is not None for g in groups["sheared"])
+    assert any(d.height > g.lattice.min_along((0, 1))
+               for d, g in zip(sheared, groups["sheared"]))
+    assert len(sheared) >= 20
+
+
+def test_group_tests_only_row0_hits(monkeypatch):
+    # a random block has no translations, so a walk over the coset reps
+    # would test 128 * 128 shifts for each point op
+    rng = random.Random(20261019)
+    design = Design(128, 128, tuple(rng.getrandbits(128) for _ in range(128)))
+    lat, swap_rep = translation_lattices(design)
+    assert (lat, swap_rep) == (Lattice(128, 0, 128), None)
+    calls = 0
+    real = analysis._shift_action
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(analysis, "_shift_action", counted)
+    elements = analysis._build_group(design, lat, swap_rep).elements
+    assert [(el.iso.op, el.iso.t) for el in elements] == [(IDENTITY, (0, 0))]
+    assert calls <= 16
 
 
 def test_group_scans_only_the_period_block(monkeypatch):

@@ -1,5 +1,5 @@
 import pytest
-from helpers import apply_cell, compose, compose_ops, invert, is_rotation
+from helpers import apply_cell, compose, compose_ops, invert, invert_op, is_rotation
 
 from weavesym.isometry import (
     IDENTITY,
@@ -12,7 +12,6 @@ from weavesym.isometry import (
     R180,
     R270,
     GridIsometry,
-    invert_op,
     op_by_name,
 )
 
